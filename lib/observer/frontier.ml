@@ -355,17 +355,19 @@ module Make (P : PAYLOAD) = struct
     | Some id -> Some f.payloads.(id)
     | None -> None
 
-  let min_components f =
+  let fold_components pick init f =
     let w = width f in
-    let floor = Array.make w max_int in
+    let acc = Array.make w init in
     Array.iter
       (fun id ->
         for i = 0 to w - 1 do
-          let v = Cutset.get f.cuts id i in
-          if v < floor.(i) then floor.(i) <- v
+          acc.(i) <- pick acc.(i) (Cutset.get f.cuts id i)
         done)
       f.order;
-    floor
+    acc
+
+  let min_components f = fold_components Int.min max_int f
+  let max_components f = fold_components Int.max 0 f
 
   let mem_words f =
     Cutset.mem_words f.cuts + Array.length f.order + Array.length f.payloads

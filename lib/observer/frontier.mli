@@ -128,6 +128,12 @@ module Make (P : PAYLOAD) : sig
   (** Per-thread minimum over all cuts of the level — the garbage
       collection floor of [Predict.Online]. *)
 
+  val max_components : frontier -> int array
+  (** Per-thread maximum over all cuts of the level: once every thread
+      [i] has delivered event [max.(i) + 1] (or has ended), every move of
+      every cut of the level is in hand — the advance condition of
+      [Predict.Online]. *)
+
   val mem_words : frontier -> int
 
   val expand :

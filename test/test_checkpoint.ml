@@ -393,6 +393,49 @@ let test_kill_resume_differential () =
        (fun ex -> List.map (fun enc -> (ex, enc)) wire_encodings)
        paper_examples)
 
+(* A checkpoint written before the frontier-driven advance rule (commit
+   f30a1e4), under which the online store held about two thirds of the
+   delivered messages, must still read and resume to the verdict of an
+   uninterrupted run.  The fixtures were made with that release's CLI:
+
+     jmpax run -f handoff.tml --spec SPEC -o handoff.trace
+     head -c 5510 handoff.trace \
+       | jmpax stream - --spec SPEC --checkpoint handoff.ckpt --checkpoint-every 20
+
+   The last checkpoint it wrote is at level 60 with 124 messages stored;
+   the same point under the frontier-driven rule stores about a tenth
+   of that.  The file format is unchanged. *)
+let test_resume_older_checkpoint () =
+  let spec = Pastltl.Fparser.parse "(a == 5 and c >= 0) ==> b >= 4" in
+  let doc = In_channel.with_open_bin "fixtures/handoff.trace" In_channel.input_all in
+  let ck =
+    match C.read "fixtures/handoff.ckpt" with
+    | Ok ck -> ck
+    | Error e -> Alcotest.failf "read: %s" (C.error_to_string e)
+  in
+  (match C.validate ~spec ck with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "validate: %s" (C.error_to_string e));
+  let stored =
+    match ck.C.ck_online with
+    | Some s -> List.length s.Predict.Online.snap_store
+    | None -> Alcotest.fail "no lattice state"
+  in
+  Alcotest.(check int) "the old rule's store" 124 stored;
+  let run ?resume () =
+    match Jmpax.Stream.run_string ?resume ~spec doc with
+    | Ok o -> o
+    | Error e -> Alcotest.failf "stream: %s" (E.to_string e)
+  in
+  let whole = run () and resumed = run ~resume:ck () in
+  Alcotest.(check bool) "the spec is violated" true whole.Jmpax.Stream.s_violated;
+  Alcotest.(check string) "summary" (summary_of whole) (summary_of resumed);
+  Alcotest.(check bool) "gc stats" true
+    (gc_eq whole.Jmpax.Stream.s_gc resumed.Jmpax.Stream.s_gc);
+  Alcotest.(check bool) "violations" true
+    (violation_keys whole.Jmpax.Stream.s_violations
+    = violation_keys resumed.Jmpax.Stream.s_violations)
+
 (* {1 Transports} *)
 
 let string_raw doc =
@@ -556,7 +599,9 @@ let () =
         [ Alcotest.test_case "tmp+rename" `Quick test_atomic_write ] );
       ( "differential",
         [ Alcotest.test_case "kill and resume" `Quick
-            test_kill_resume_differential ] );
+            test_kill_resume_differential;
+          Alcotest.test_case "resume an older checkpoint" `Quick
+            test_resume_older_checkpoint ] );
       ( "transport",
         [ Alcotest.test_case "EINTR retry" `Quick test_transport_eintr;
           Alcotest.test_case "fault-injection smoke" `Quick
