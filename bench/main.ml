@@ -262,6 +262,11 @@ let e6 () =
     "shape: JMPaX detection rate dominates JPaX's (the paper's \"probability of\n\
      detecting these bugs only by monitoring the observed run is very low\").\n"
 
+(* Every cut a finished sweep visited: the retired levels plus the last. *)
+let cuts_visited online =
+  (Predict.Online.gc_stats online).Predict.Online.retired_cuts
+  + Predict.Online.frontier_cuts online
+
 (* {1 E7: lattice scaling and the two-level memory bound} *)
 
 let e7 () =
@@ -278,9 +283,9 @@ let e7 () =
           ~init:program.Tml.Ast.shared r.Tml.Vm.messages
       in
       let lattice = Observer.Lattice.build comp in
-      let report = Predict.Analyzer.analyze ~spec comp in
+      let online = Predict.Online.of_computation ~spec comp in
       let t0 = Sys.time () in
-      ignore (Predict.Analyzer.analyze ~spec comp);
+      ignore (Predict.Online.of_computation ~spec comp);
       let dt = Sys.time () -. t0 in
       Printf.printf "%-10s %8d %8d %10d %10d %12d %9.1f ms\n"
         (Printf.sprintf "%dx%d" threads writes)
@@ -288,7 +293,7 @@ let e7 () =
         (Observer.Lattice.node_count lattice)
         (Observer.Lattice.run_count lattice)
         (Observer.Lattice.max_width lattice)
-        report.Predict.Analyzer.stats.Predict.Analyzer.max_frontier_entries
+        (Predict.Online.gc_stats online).Predict.Online.peak_frontier_entries
         (dt *. 1e3))
     [ (2, 3); (2, 6); (2, 12); (3, 3); (3, 6); (4, 4) ];
   Printf.printf
@@ -370,10 +375,10 @@ let e9 () =
   Printf.printf "producer/consumer (wait-notify): %s\n"
     (Format.asprintf "%a" Tml.Vm.pp_outcome pc.Tml.Vm.outcome)
 
-(* {1 E10: ablation — online vs offline analysis} *)
+(* {1 E10: ablation — online analysis under in-order vs reversed delivery} *)
 
 let e10 () =
-  section "E10" "Ablation: online (GC'd frontier) vs offline analysis";
+  section "E10" "Ablation: online analysis with a GC'd frontier, in-order vs reversed delivery";
   Printf.printf "%-14s %8s %10s %10s %10s %9s %9s %12s\n" "workload" "events" "verdict"
     "frontier" "retired" "stored" "buffered" "agree";
   List.iter
@@ -386,10 +391,6 @@ let e10 () =
           (fun (x, _) -> List.mem x (Pastltl.Formula.vars spec))
           program.Tml.Ast.shared
       in
-      let comp =
-        Observer.Computation.of_messages_exn ~nthreads ~init r.Tml.Vm.messages
-      in
-      let offline = Predict.Analyzer.analyze ~spec comp in
       let online = Predict.Online.create ~nthreads ~init ~spec () in
       (* Peak messages stored while feeding in emission order; after
          [finish] the store is always empty. *)
@@ -401,13 +402,16 @@ let e10 () =
           0 r.Tml.Vm.messages
       in
       Predict.Online.finish online;
+      let reversed = Predict.Online.create ~nthreads ~init ~spec () in
+      Predict.Online.feed_all reversed (List.rev r.Tml.Vm.messages);
+      Predict.Online.finish reversed;
       let gc = Predict.Online.gc_stats online in
       Printf.printf "%-14s %8d %10s %10d %10d %9d %9d %12s\n" name
         (List.length r.Tml.Vm.messages)
         (if Predict.Online.violated online then "violation" else "clean")
         gc.Predict.Online.peak_frontier_entries gc.Predict.Online.retired_cuts
         peak_stored (Predict.Online.buffered online)
-        (if Predict.Online.violated online = Predict.Analyzer.violated offline then "yes"
+        (if Predict.Online.violated online = Predict.Online.violated reversed then "yes"
          else "NO!"))
     [ ("landing", Tml.Programs.landing_bounded, Pastltl.Formula.landing_spec);
       ("xyz", Tml.Programs.xyz, Pastltl.Formula.xyz_spec);
@@ -430,10 +434,11 @@ let e10 () =
                   [ "a"; "b"; "c" ])),
         Pastltl.Fparser.parse "a >= 0 ==> [c >= 0, b < 0)" ) ];
   Printf.printf
-    "shape: identical verdicts; the online analyzer retires every passed level and\n\
-     drops consumed messages, keeping only one frontier in memory.  It advances as\n\
-     soon as its frontier's next events arrive, so the peak store (stored) follows\n\
-     the frontier's span, not the stream's length; buffered is read after finish.\n"
+    "shape: identical verdicts under in-order and reversed delivery (agree); the\n\
+     online analyzer retires every passed level and drops consumed messages,\n\
+     keeping only one frontier in memory.  It advances as soon as its frontier's\n\
+     next events arrive, so the peak store (stored) follows the frontier's span,\n\
+     not the stream's length; buffered is read after finish.\n"
 
 (* {1 E11: ablation — FSM table vs monitor recomputation} *)
 
@@ -498,9 +503,7 @@ let e12 () =
           Observer.Computation.of_messages_exn ~nthreads ~init:program.Tml.Ast.shared
             r.Tml.Vm.messages
         in
-        let report = Predict.Analyzer.analyze ~spec comp in
-        (List.length r.Tml.Vm.messages,
-         report.Predict.Analyzer.stats.Predict.Analyzer.cuts_visited)
+        (List.length r.Tml.Vm.messages, cuts_visited (Predict.Online.of_computation ~spec comp))
       in
       let m1, c1 = run (Mvc.Relevance.writes_of_vars (Pastltl.Formula.vars spec)) in
       let m2, c2 = run Mvc.Relevance.all_writes in
@@ -787,14 +790,13 @@ let e15 ?(smoke = false) () =
       let (sn, ss, sc, sl), seed_words =
         alloc_words (fun () -> Seed_analyzer.analyze ~spec comp)
       in
-      let report, interned_words =
-        alloc_words (fun () -> Predict.Analyzer.analyze ~jobs:1 ~spec comp)
+      let online, interned_words =
+        alloc_words (fun () -> Predict.Online.of_computation ~jobs:1 ~spec comp)
       in
-      let stats = report.Predict.Analyzer.stats in
-      assert (List.length report.Predict.Analyzer.violations = sn);
-      assert (stats.Predict.Analyzer.monitor_steps = ss);
-      assert (stats.Predict.Analyzer.cuts_visited = sc);
-      assert (stats.Predict.Analyzer.levels = sl);
+      assert (List.length (Predict.Online.violations online) = sn);
+      assert ((Predict.Online.gc_stats online).Predict.Online.monitor_steps = ss);
+      assert (cuts_visited online = sc);
+      assert (Predict.Online.level online + 1 = sl);
       record ~experiment:"E15" ~metric:(key "cuts") (float_of_int sc);
       record ~experiment:"E15" ~metric:(key "alloc_words_seed") seed_words;
       record ~experiment:"E15" ~metric:(key "alloc_words_interned") interned_words;
@@ -803,7 +805,7 @@ let e15 ?(smoke = false) () =
         List.map
           (fun jobs ->
             let bname = Printf.sprintf "%s j%d" name jobs in
-            let run () = ignore (Predict.Analyzer.analyze ~jobs ~spec comp) in
+            let run () = ignore (Predict.Online.of_computation ~jobs ~spec comp) in
             match measure ~quota [ Test.make ~name:bname (Staged.stage run) ] with
             | [ (_, ns) ] ->
                 record ~experiment:"E15" ~metric:(key (Printf.sprintf "ns_jobs%d" jobs)) ns;
@@ -833,7 +835,7 @@ let e15 ?(smoke = false) () =
 (* The telemetry contract is one atomic load and branch per site when
    metrics are off, and a handful of atomic read-modify-writes per event
    when on.  Measured here end-to-end: the paper's two worked examples
-   through the whole pipeline, and an E15 grid through the analyzer.
+   through the whole pipeline, and an E15 grid through the online analyzer.
    Returns false when the metrics-on overhead breaks the 10% gate. *)
 let e16 ?(smoke = false) () =
   section "E16" "Telemetry overhead: metrics registry on vs off";
@@ -852,7 +854,7 @@ let e16 ?(smoke = false) () =
     in
     let spec = Pastltl.Fparser.parse "always v0 <= 9" in
     ( Printf.sprintf "grid-%dx%d" threads writes,
-      fun () -> ignore (Predict.Analyzer.analyze ~jobs:1 ~spec comp) )
+      fun () -> ignore (Predict.Online.of_computation ~jobs:1 ~spec comp) )
   in
   let workloads =
     if smoke then

@@ -322,8 +322,8 @@ let run_cmd =
          & info [ "format" ] ~docv:"FMT"
              ~doc:"Wire format for $(b,--output): $(b,v2) (framed text, default), \
                    $(b,v3) (binary, delta-encoded clocks) or $(b,v1) \
-                   (line-oriented text).  $(b,check), $(b,stream) and \
-                   $(b,serve) accept any of them transparently.")
+                   (line-oriented text).  $(b,observe) reads all three; \
+                   $(b,stream) and $(b,serve) read v2 and v3.")
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Execute an instrumented program once and dump its messages.")
@@ -350,11 +350,11 @@ let observe_cmd =
             in
             let code =
               Jmpax.Pipeline.with_telemetry tconfig (fun () ->
-                  let report = Predict.Analyzer.analyze ~jobs ~spec comp in
+                  let online = Predict.Online.of_computation ~jobs ~spec comp in
                   Format.printf "%d messages, %d threads@." (List.length messages)
                     header.Jmpax.Wire.nthreads;
-                  Format.printf "%a@." Predict.Analyzer.pp_report report;
-                  if Predict.Analyzer.violated report then 1 else 0)
+                  Format.printf "%a@." Predict.Online.pp_report online;
+                  if Predict.Online.violated online then 1 else 0)
             in
             if code <> 0 then exit code)
   in
@@ -989,8 +989,8 @@ let lattice_cmd =
       let lattice = Observer.Lattice.build ~jobs output.Jmpax.Pipeline.computation in
       let violating =
         List.map
-          (fun v -> Array.to_list v.Predict.Analyzer.cut)
-          output.Jmpax.Pipeline.predictive.Predict.Analyzer.violations
+          (fun v -> Array.to_list v.Predict.Online.cut)
+          (Predict.Online.violations output.Jmpax.Pipeline.predictive)
       in
       let highlight (n : Observer.Lattice.node) =
         List.mem (Array.to_list n.Observer.Lattice.cut) violating
@@ -1143,29 +1143,35 @@ let monitor_cmd =
         fuel;
         clock;
         jobs;
+        detect_races = false;
+        detect_deadlocks = false;
+        detect_atomicity = false;
         metrics;
         trace }
     in
     let code =
       Jmpax.Pipeline.with_telemetry config (fun () ->
-          let o = Jmpax.Pipeline.check_online ~config ~spec program in
+          let o = Jmpax.Pipeline.check ~config ~spec program in
+          let online = o.Jmpax.Pipeline.predictive in
+          let gc = Predict.Online.gc_stats online in
+          let violated = Predict.Online.violated online in
           Format.printf
             "spec: %a@.run: %a, %d steps@.online verdict: %s (lattice level %d)@.\
              peak frontier: %d entries, %d cuts retired, %d monitor steps@."
-            Pastltl.Formula.pp o.Jmpax.Pipeline.o_spec Tml.Vm.pp_outcome
-            o.Jmpax.Pipeline.o_run.Tml.Vm.outcome o.Jmpax.Pipeline.o_run.Tml.Vm.steps
-            (if o.Jmpax.Pipeline.o_violated then "VIOLATION PREDICTED" else "no violation")
-            o.Jmpax.Pipeline.o_level
-            o.Jmpax.Pipeline.o_gc.Predict.Online.peak_frontier_entries
-            o.Jmpax.Pipeline.o_gc.Predict.Online.retired_cuts
-            o.Jmpax.Pipeline.o_gc.Predict.Online.monitor_steps;
-          if o.Jmpax.Pipeline.o_violated then 1 else 0)
+            Pastltl.Formula.pp spec Tml.Vm.pp_outcome o.Jmpax.Pipeline.run.Tml.Vm.outcome
+            o.Jmpax.Pipeline.run.Tml.Vm.steps
+            (if violated then "VIOLATION PREDICTED" else "no violation")
+            (Predict.Online.level online) gc.Predict.Online.peak_frontier_entries
+            gc.Predict.Online.retired_cuts gc.Predict.Online.monitor_steps;
+          if violated then 1 else 0)
     in
     if code <> 0 then exit code
   in
   Cmd.v
     (Cmd.info "monitor"
-       ~doc:"Monitor a program online: the lattice is analyzed while the program runs.")
+       ~doc:"Monitor a program: run it once, feed its messages in order to the \
+             online analyzer, and print the verdict with the analyzer's \
+             garbage-collection statistics.")
     Term.(const run $ example_arg $ file_arg $ spec_arg $ seed_arg $ fuel_arg
           $ clock_arg $ jobs_arg $ metrics_arg $ trace_arg)
 

@@ -1,6 +1,7 @@
 (* The observer side in online mode: messages arrive out of order (as
-   over JMPaX's sockets), are buffered and released per-thread in index
-   order, and the computation — hence the verdict — is identical to
+   over JMPaX's sockets), the online analyzer buffers each one until
+   its thread's earlier messages are in, advances the lattice as soon
+   as a level's events are all available, and reaches the verdict of
    in-order delivery. Also demonstrates the Section 3.2 message-passing
    interpretation agreeing with Algorithm A on the same run.
 
@@ -27,22 +28,20 @@ let () =
        ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "  ")
        Trace.Message.pp)
     scrambled;
-  (* Feed one by one; watch the ready prefix grow. *)
-  let ingest = Observer.Ingest.create ~nthreads:2 ~init:program.Tml.Ast.shared () in
+  (* Feed one by one; watch the lattice advance and the store drain. *)
+  let online =
+    Predict.Online.create ~nthreads:2 ~init:program.Tml.Ast.shared
+      ~spec:Pastltl.Formula.xyz_spec ()
+  in
   List.iter
     (fun m ->
-      Observer.Ingest.add ingest m;
-      let ready = Observer.Ingest.take_ready ingest in
-      Format.printf "received %a -> released %d (buffered %d)@." Trace.Message.pp m
-        (List.length ready) (Observer.Ingest.pending ingest))
+      Predict.Online.feed online m;
+      Format.printf "received %a -> lattice level %d (buffered %d, out of order %d)@."
+        Trace.Message.pp m (Predict.Online.level online) (Predict.Online.buffered online)
+        (Predict.Online.out_of_order online))
     scrambled;
-  let comp =
-    match Observer.Ingest.computation ingest with
-    | Ok c -> c
-    | Error msg -> failwith msg
-  in
-  let report = Predict.Analyzer.analyze ~spec:Pastltl.Formula.xyz_spec comp in
-  Format.printf "@.%a@.@." Predict.Analyzer.pp_report report;
+  Predict.Online.finish online;
+  Format.printf "@.%a@.@." Predict.Online.pp_report online;
   (* Section 3.2: the distributed interpretation reproduces Algorithm A
      message for message. *)
   (match
@@ -54,4 +53,4 @@ let () =
          %d hidden (one per read)@."
         stats.Dsim.Simulate.packets stats.Dsim.Simulate.hidden
   | Error _ -> print_endline "distributed interpretation DIVERGED (bug)");
-  assert (Predict.Analyzer.violated report)
+  assert (Predict.Online.violated online)

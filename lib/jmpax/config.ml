@@ -14,7 +14,6 @@ type t = {
   channel : channel_model;
   clock : Clock.Spec.backend;
   jobs : int;
-  stop_at_first : bool;
   detect_races : bool;
   detect_deadlocks : bool;
   detect_atomicity : bool;
@@ -35,7 +34,6 @@ let default () =
     channel = In_order;
     clock = Clock.Registry.default;
     jobs = 1;
-    stop_at_first = false;
     detect_races = true;
     detect_deadlocks = true;
     detect_atomicity = true;

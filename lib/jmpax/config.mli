@@ -21,7 +21,6 @@ type t = {
   jobs : int;
   (** domains for the analyzer's frontier engine: [1] = sequential
       (default), [0] = all cores *)
-  stop_at_first : bool;  (** stop the predictive sweep at the first bad level *)
   detect_races : bool;
   detect_deadlocks : bool;
   detect_atomicity : bool;
@@ -34,8 +33,7 @@ type t = {
       (default) disables tracing *)
   max_buffered : int option;
   (** bound on out-of-order buffered messages in the ingestion layers
-      ({!Observer.Ingest}, {!Predict.Online}, [jmpax stream]); [None]
-      (default) = unbounded *)
+      ({!Predict.Online}, [jmpax stream]); [None] (default) = unbounded *)
   on_decode_error : recovery;
   (** streaming decode-error policy; irrelevant to in-process runs *)
   checkpoint : (string * int) option;
@@ -58,7 +56,7 @@ type t = {
 
 val default : unit -> t
 (** Round-robin schedule, [fuel = 100_000], in-order delivery, dense
-    clocks, full sweep, race, deadlock and atomicity detection on. *)
+    clocks, race, deadlock and atomicity detection on. *)
 
 val with_sched : Tml.Sched.t -> t -> t
 val with_seed : int -> t -> t

@@ -6,7 +6,7 @@ type output = {
   run : Tml.Vm.run_result;
   delivered : Message.t list;
   computation : Observer.Computation.t;
-  predictive : Predict.Analyzer.report;
+  predictive : Predict.Online.t;
   observed_ok : bool;
   races : Predict.Race.report option;
   deadlocks : Predict.Lockgraph.report option;
@@ -99,25 +99,22 @@ let check ?(config = Config.default ()) ~spec program =
     List.filter (fun (x, _) -> List.mem x relevant_vars) program.Tml.Ast.shared
   in
   let nthreads = List.length program.Tml.Ast.threads in
-  (* Ship the messages through the configured channel and let the
-     observer reassemble them. *)
+  (* Ship the messages through the configured channel; the observer
+     rebuilds the computation from what arrives and feeds the same
+     arrivals, in arrival order, to the lattice analysis. *)
   let delivered = apply_channel config run.Tml.Vm.messages in
-  let ingest =
-    Observer.Ingest.create ?max_buffered:config.Config.max_buffered ~nthreads ~init ()
-  in
-  Observer.Ingest.add_all ingest delivered;
   let computation =
-    match Observer.Ingest.computation ingest with
+    match Observer.Computation.of_messages ~nthreads ~init delivered with
     | Ok c -> c
     | Error msg -> invalid_arg ("Pipeline.check: observer could not reassemble: " ^ msg)
   in
   let predictive =
-    Predict.Analyzer.analyze ~stop_at_first:config.Config.stop_at_first
-      ~jobs:config.Config.jobs ~spec computation
+    Predict.Online.create ~jobs:config.Config.jobs ?max_buffered:config.Config.max_buffered
+      ~nthreads ~init ~spec ()
   in
-  let observed_ok =
-    Predict.Analyzer.observed_run_verdict ~spec ~init run.Tml.Vm.messages
-  in
+  Predict.Online.feed_all predictive delivered;
+  Predict.Online.finish predictive;
+  let observed_ok = Jpax.check_messages ~spec ~init run.Tml.Vm.messages in
   let races =
     if config.Config.detect_races then
       Option.map Predict.Race.detect run.Tml.Vm.exec
@@ -158,48 +155,10 @@ let check ?(config = Config.default ()) ~spec program =
 let check_source ?config ~spec source =
   check ?config ~spec:(Pastltl.Fparser.parse spec) (Tml.Parser.parse_program source)
 
-type online_output = {
-  o_spec : Pastltl.Formula.t;
-  o_run : Tml.Vm.run_result;
-  o_violated : bool;
-  o_violations : Predict.Analyzer.violation list;
-  o_level : int;
-  o_gc : Predict.Online.gc_stats;
-}
-
-let check_online ?(config = Config.default ()) ~spec program =
-  let relevant_vars = Pastltl.Formula.vars spec in
-  let image = Tml.Instrument.instrument_program program in
-  let relevance = Mvc.Relevance.writes_of_vars relevant_vars in
-  let init =
-    List.filter (fun (x, _) -> List.mem x relevant_vars) program.Tml.Ast.shared
-  in
-  let nthreads = List.length program.Tml.Ast.threads in
-  let online =
-    Predict.Online.create ~jobs:config.Config.jobs
-      ?max_buffered:config.Config.max_buffered ~nthreads ~init ~spec ()
-  in
-  let run =
-    Tml.Vm.run_image ~clock:config.Config.clock ~fuel:config.Config.fuel ~relevance
-      ~sink:(Predict.Online.feed online) ~sched:config.Config.sched image
-  in
-  (match run.Tml.Vm.outcome with
-  | Tml.Vm.Runtime_error { tid; message } ->
-      invalid_arg
-        (Printf.sprintf "Pipeline.check_online: runtime error in thread %d: %s" tid message)
-  | Tml.Vm.Completed | Tml.Vm.Deadlocked _ | Tml.Vm.Fuel_exhausted -> ());
-  Predict.Online.finish online;
-  { o_spec = spec;
-    o_run = run;
-    o_violated = Predict.Online.violated online;
-    o_violations = Predict.Online.violations online;
-    o_level = Predict.Online.level online;
-    o_gc = Predict.Online.gc_stats online }
-
-let predicted_violation output = Predict.Analyzer.violated output.predictive
+let predicted_violation output = Predict.Online.violated output.predictive
 let missed_by_baseline output = predicted_violation output && output.observed_ok
 
-(* Every front end (check, check_online, jmpax stream) prints its verdict
+(* Every front end (check, jmpax stream, jmpax serve) prints its verdict
    through this one function, so the outputs stay byte-comparable. *)
 let verdict_line violated =
   Printf.sprintf "predictive verdict (JMPaX): %s"
@@ -227,7 +186,7 @@ let pp_output ppf o =
     (List.length o.run.Tml.Vm.messages)
     (if o.observed_ok then "no violation" else "VIOLATION")
     (verdict_line (predicted_violation o))
-    Predict.Analyzer.pp_report o.predictive
+    Predict.Online.pp_report o.predictive
     (Format.pp_print_option Predict.Race.pp_report)
     o.races
     (Format.pp_print_option Predict.Lockgraph.pp_report)

@@ -29,7 +29,7 @@ type outcome = {
   s_header : Wire.header;
   s_violated : bool;
   s_lattice : bool;
-  s_violations : Predict.Analyzer.violation list;
+  s_violations : Predict.Online.violation list;
   s_level : int;
   s_gc : Predict.Online.gc_stats;
   s_engines : (string * string) list;

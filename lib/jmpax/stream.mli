@@ -44,7 +44,7 @@ type outcome = {
   s_header : Wire.header;
   s_violated : bool;  (** any selected engine reported a violation *)
   s_lattice : bool;  (** the lattice engine was selected for this run *)
-  s_violations : Predict.Analyzer.violation list;
+  s_violations : Predict.Online.violation list;
       (** lattice violations; [[]] when the lattice engine did not run *)
   s_level : int;  (** final lattice level; [0] without the lattice engine *)
   s_gc : Predict.Online.gc_stats;  (** all-zero without the lattice engine *)

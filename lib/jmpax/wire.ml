@@ -69,6 +69,11 @@ module Error = struct
         Printf.sprintf "vector clock has %d components where the header promises %d"
           width expected
     | Unrecognized_line s -> Printf.sprintf "unrecognized line %S" s
+    | Bad_preamble s when String.starts_with ~prefix:magic s ->
+        Printf.sprintf
+          "a wire v1 trace (%S) cannot be streamed: stream and serve read wire v2 \
+           and v3; read it with `jmpax observe`, or record v2 with `jmpax run --format v2`"
+          magic
     | Bad_preamble s -> Printf.sprintf "bad stream preamble %S" s
     | Unknown_frame_kind k -> Printf.sprintf "unknown frame kind 0x%02X" k
     | Version_mismatch { stream; frame } ->

@@ -66,6 +66,8 @@ module Error : sig
     | Clock_width_mismatch of { width : int; expected : int }
     | Unrecognized_line of string
     | Bad_preamble of string
+        (** the stream starts with neither v2's nor v3's preamble; a v1
+            trace here gets a message pointing to [jmpax observe] *)
     | Unknown_frame_kind of int
     | Version_mismatch of { stream : int; frame : int }
         (** a frame of one wire version inside a stream of the other:

@@ -1,6 +1,6 @@
 (* The shared frontier engine: packed interned cuts plus deterministic
-   domain-parallel level expansion.  Used by Lattice.build,
-   Predict.Analyzer and Predict.Online. *)
+   domain-parallel level expansion.  Used by Lattice.build and
+   Predict.Online. *)
 
 module M = Telemetry.Metrics
 

@@ -1,5 +1,5 @@
-(** The shared frontier engine behind {!Lattice.build},
-    [Predict.Analyzer] and [Predict.Online].
+(** The shared frontier engine behind {!Lattice.build} and
+    [Predict.Online].
 
     Two ingredients, both motivated by the paper's level-by-level sweep
     (Section 4) at scale:

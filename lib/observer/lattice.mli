@@ -6,7 +6,7 @@
     This module materializes the whole lattice — what the paper does for
     presentation and what small programs need for run enumeration. The
     predictive analyzer does {e not} use it; it keeps only one frontier
-    level ({!Predict.Analyzer}). *)
+    level ({!Predict.Online}). *)
 
 open Trace
 

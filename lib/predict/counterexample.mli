@@ -4,8 +4,8 @@
     entire counterexample execution — to understand the error").
 
     Exponential in general; intended for the small computations of the
-    worked examples and for cross-checking {!Analyzer} (which is
-    frontier-bounded but reports no full runs). *)
+    worked examples and as the ground truth the tests check {!Online}
+    against (which is frontier-bounded but reports no full runs). *)
 
 open Trace
 

@@ -4,7 +4,7 @@
     acquires [l'] while holding [l]; a cycle among different threads'
     edges means some schedule can interleave the acquisitions into a
     deadlock, even if the observed run completed. This complements
-    {!Analyzer}: the paper's lattice predicts state-property violations,
+    {!Online}: the paper's lattice predicts state-property violations,
     the lock graph predicts blocking cycles that produce no state at
     all. *)
 

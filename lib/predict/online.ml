@@ -22,6 +22,15 @@ end)
 
 type entry = { state : Pastltl.State.t; msets : Mset.t }
 
+type violation = {
+  cut : int array;
+  level : int;
+  state : Pastltl.State.t;
+  monitor_state : Pastltl.Monitor.state;
+}
+
+let max_violations = 1000
+
 (* The cut determines the global state, so two entries meeting at one
    cut carry equal states by construction; only the monitor-state sets
    need unioning (associative, hence deterministic under sharding). *)
@@ -67,7 +76,8 @@ type t = {
   mutable reach : int array;
   mutable level : int;
   mutable done_ : bool;  (* the frontier can never advance again *)
-  mutable rev_violations : Analyzer.violation list;
+  mutable rev_violations : violation list;
+  mutable n_violations : int;  (* length of [rev_violations] *)
   mutable retired_cuts : int;
   mutable peak_frontier_cuts : int;
   mutable peak_frontier_entries : int;
@@ -113,22 +123,25 @@ let record_level_stats t =
   let entries = F.fold (fun acc _ e -> acc + Mset.cardinal e.msets) 0 t.frontier in
   t.peak_frontier_entries <- max t.peak_frontier_entries entries
 
+(* Keeps the first [max_violations] pairs in level order: enough for
+   the verdict and the report, and a bound on what a checkpoint
+   carries however often the stream violates the spec. *)
 let record_violations t =
-  F.iter
-    (fun cut entry ->
-      Mset.iter
-        (fun m ->
-          if not (Pastltl.Monitor.verdict t.monitor m) then begin
-            if M.enabled () then M.incr m_violations;
-            t.rev_violations <-
-              { Analyzer.cut = Array.copy cut;
-                level = t.level;
-                state = entry.state;
-                monitor_state = m }
-              :: t.rev_violations
-          end)
-        entry.msets)
-    t.frontier
+  if t.n_violations < max_violations then
+    F.iter
+      (fun cut entry ->
+        Mset.iter
+          (fun m ->
+            if t.n_violations < max_violations && not (Pastltl.Monitor.verdict t.monitor m)
+            then begin
+              if M.enabled () then M.incr m_violations;
+              t.n_violations <- t.n_violations + 1;
+              t.rev_violations <-
+                { cut = Array.copy cut; level = t.level; state = entry.state; monitor_state = m }
+                :: t.rev_violations
+            end)
+          entry.msets)
+      t.frontier
 
 let create ?(jobs = 1) ?par_threshold ?max_buffered ~nthreads ~init ~spec () =
   if nthreads <= 0 then invalid_arg "Online.create: nthreads must be positive";
@@ -164,6 +177,7 @@ let create ?(jobs = 1) ?par_threshold ?max_buffered ~nthreads ~init ~spec () =
       level = 0;
       done_ = false;
       rev_violations = [];
+      n_violations = 0;
       retired_cuts = 0;
       peak_frontier_cuts = 0;
       peak_frontier_entries = 0;
@@ -387,11 +401,11 @@ let snapshot t =
   in
   let violations =
     List.rev_map
-      (fun (v : Analyzer.violation) ->
-        ( Array.copy v.Analyzer.cut,
-          v.Analyzer.level,
-          Pastltl.State.to_list v.Analyzer.state,
-          Pastltl.Monitor.state_to_string v.Analyzer.monitor_state ))
+      (fun v ->
+        ( Array.copy v.cut,
+          v.level,
+          Pastltl.State.to_list v.state,
+          Pastltl.Monitor.state_to_string v.monitor_state ))
       t.rev_violations
   in
   { snap_nthreads = t.nthreads;
@@ -497,11 +511,9 @@ let restore ?(jobs = 1) ?par_threshold ?max_buffered ~spec s =
     rev_violations =
       List.rev_map
         (fun (cut, level, bindings, bits) ->
-          { Analyzer.cut;
-            level;
-            state = Pastltl.State.of_list bindings;
-            monitor_state = mstate bits })
+          { cut; level; state = Pastltl.State.of_list bindings; monitor_state = mstate bits })
         s.snap_violations;
+    n_violations = List.length s.snap_violations;
     retired_cuts = s.snap_retired_cuts;
     peak_frontier_cuts = s.snap_peak_frontier_cuts;
     peak_frontier_entries = s.snap_peak_frontier_entries;
@@ -539,3 +551,22 @@ let gc_stats t =
     peak_frontier_cuts = t.peak_frontier_cuts;
     peak_frontier_entries = t.peak_frontier_entries;
     monitor_steps = t.monitor_steps }
+
+let of_computation ?jobs ~spec comp =
+  let t =
+    create ?jobs ~nthreads:(Observer.Computation.nthreads comp)
+      ~init:(Pastltl.State.to_list (Observer.Computation.init_state comp))
+      ~spec ()
+  in
+  feed_all t (Observer.Computation.messages comp);
+  finish t;
+  t
+
+let pp_report ppf t =
+  Format.fprintf ppf "@[<v>spec: %a@,%s@,levels=%d max_cuts=%d max_entries=%d \
+                      monitor_steps=%d cuts_visited=%d@]"
+    Pastltl.Formula.pp t.spec
+    (if t.n_violations = 0 then "no violation predicted"
+     else Printf.sprintf "%d violating (cut, monitor-state) pairs predicted" t.n_violations)
+    (t.level + 1) t.peak_frontier_cuts t.peak_frontier_entries t.monitor_steps
+    (t.retired_cuts + F.size t.frontier)

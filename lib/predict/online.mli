@@ -1,4 +1,14 @@
-(** Online predictive analysis: the observer of the paper's title.
+(** Level-by-level predictive safety analysis (paper, Section 4): the
+    observer of the paper's title, and the only lattice analysis in the
+    tree — offline analysis is this one fed a complete message list.
+
+    Checks a past-time LTL specification against {e every}
+    multithreaded run of a computation {e in parallel}, by walking the
+    computation lattice one level at a time.  Each frontier cut carries
+    the global state it denotes together with the {e set} of monitor
+    states produced by the different paths reaching it.  A violation is
+    a reachable cut where some path's monitor evaluates the
+    specification to false.
 
     Messages [⟨e, i, V⟩] arrive one at a time, in any order; the analyzer
     buffers them, and as soon as every event that can occur in the next
@@ -27,12 +37,26 @@
     bounded by the frontier's span plus the out-of-order count, not by
     the stream's length, and so is a {!snapshot}.
 
-    Verdicts are identical to the offline {!Analyzer} on the full message
-    list — a property the test suite checks exhaustively. *)
+    Verdicts agree with {!Counterexample.check}, which enumerates every
+    run explicitly, under in-order, reversed and shuffled delivery — a
+    property the test suite checks. *)
 
 open Trace
 
 type t
+
+type violation = {
+  cut : int array;
+  level : int;
+  state : Pastltl.State.t;  (** the global state falsifying the spec *)
+  monitor_state : Pastltl.Monitor.state;
+}
+
+val max_violations : int
+(** [1000]: the analyzer keeps the first [max_violations] violating
+    (cut, monitor-state) pairs, in level order, and drops the rest.
+    {!violated} is unaffected, and a checkpoint stays small however
+    often the stream violates the specification. *)
 
 exception Backpressure of { buffered : int; limit : int }
 (** Raised by {!feed} when accepting an out-of-order message would
@@ -53,8 +77,10 @@ val create :
     The frontier runs on the {!Observer.Frontier} engine; [jobs > 1]
     expands each level across a domain pool ([jobs = 0] means all
     cores; default [1] = sequential) with verdicts, violations and
-    {!gc_stats} identical for every jobs count.  [par_threshold] as in
-    [Predict.Analyzer.analyze].
+    {!gc_stats} identical for every jobs count.  [par_threshold] is the
+    minimum frontier width before a level is sharded (default
+    {!Observer.Frontier.default_par_threshold}; [0] forces sharding — a
+    testing knob).
 
     [max_buffered] bounds the messages buffered {e out of order} (past
     their thread's contiguous prefix): one more makes {!feed} raise
@@ -79,9 +105,13 @@ val finish : t -> unit
     @raise Invalid_argument if buffered messages are still missing a
     predecessor (a lost message). *)
 
+val of_computation : ?jobs:int -> spec:Pastltl.Formula.t -> Observer.Computation.t -> t
+(** The finished analyzer of a whole computation: its messages fed in
+    order, then {!finish}. *)
+
 val violated : t -> bool
-val violations : t -> Analyzer.violation list
-(** Violations found so far, in level order. *)
+val violations : t -> violation list
+(** Violations found so far, in level order; at most {!max_violations}. *)
 
 val level : t -> int
 (** The frontier's current lattice level. *)
@@ -125,6 +155,13 @@ type gc_stats = {
 }
 
 val gc_stats : t -> gc_stats
+
+val pp_report : Format.formatter -> t -> unit
+(** The report of a finished analyzer: the specification, the number of
+    violating pairs kept, and the sweep's statistics as
+    [levels=] ({!level} + 1) [max_cuts=] [max_entries=] (the peaks of
+    {!gc_stats}) [monitor_steps=] [cuts_visited=] (retired cuts plus the
+    final frontier). *)
 
 (** {1 Checkpointing}
 

@@ -10,7 +10,7 @@ let m_session_failures = M.counter "serve.session_failures"
 let m_degrades = M.counter "serve.degrades"
 let m_budget_evictions = M.counter "serve.budget_evictions"
 
-(* Ingest -> verdict-state-updated latency: how long one batch of
+(* Arrival -> verdict-state-updated latency: how long one batch of
    socket bytes takes to flow through the reader and analyzer.  Fed
    from the loop's injected clock, so tests stepping that clock see
    deterministic observations. *)

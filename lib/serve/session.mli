@@ -197,7 +197,7 @@ val close : t -> unit
     [state]. *)
 
 val verdict_latency : Telemetry.Metrics.histogram
-(** Ingest-to-verdict-state-updated latency in microseconds, one
+(** Arrival-to-verdict-state-updated latency in microseconds, one
     observation per batch of socket bytes pushed through the reader and
     analyzer.  Fed from the config's injectable clock; exposed so the
     control socket can render p50/p90/p99. *)

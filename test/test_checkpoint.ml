@@ -315,13 +315,13 @@ let summary_of outcome = Jmpax.Report.stream_summary outcome
 
 let gc_eq (a : Predict.Online.gc_stats) (b : Predict.Online.gc_stats) = a = b
 
-let violation_keys (vs : Predict.Analyzer.violation list) =
+let violation_keys (vs : Predict.Online.violation list) =
   List.map
-    (fun (v : Predict.Analyzer.violation) ->
-      ( Array.to_list v.Predict.Analyzer.cut,
-        v.Predict.Analyzer.level,
-        Pastltl.State.to_list v.Predict.Analyzer.state,
-        Pastltl.Monitor.state_to_string v.Predict.Analyzer.monitor_state ))
+    (fun (v : Predict.Online.violation) ->
+      ( Array.to_list v.Predict.Online.cut,
+        v.Predict.Online.level,
+        Pastltl.State.to_list v.Predict.Online.state,
+        Pastltl.Monitor.state_to_string v.Predict.Online.monitor_state ))
     vs
 
 let test_kill_resume_differential () =

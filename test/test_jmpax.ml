@@ -95,27 +95,40 @@ let test_safe_program_is_clean () =
 
 (* {1 Online mode} *)
 
+(* The analyzer attached to the instrumented program's message sink, so
+   the lattice is explored while the program runs — the paper's online
+   claim.  [check] runs the same analysis after the run; both must
+   agree, pair for pair. *)
+let monitor_while_running ~config ~spec program =
+  let vars = Pastltl.Formula.vars spec in
+  let init = List.filter (fun (x, _) -> List.mem x vars) program.Tml.Ast.shared in
+  let online =
+    Predict.Online.create ~nthreads:(List.length program.Tml.Ast.threads) ~init ~spec ()
+  in
+  ignore
+    (Tml.Vm.run_image ~relevance:(Mvc.Relevance.writes_of_vars vars)
+       ~sink:(Predict.Online.feed online) ~sched:config.Jmpax.Config.sched
+       (Tml.Instrument.instrument_program program));
+  Predict.Online.finish online;
+  online
+
+let violation_cuts o =
+  List.map (fun v -> Array.to_list v.Predict.Online.cut) (Predict.Online.violations o)
+
 let test_check_online_agrees_with_offline () =
   List.iter
     (fun (program, spec, script) ->
-      let config =
+      let config () =
         Jmpax.Config.default () |> Jmpax.Config.with_sched (Tml.Sched.of_script script)
       in
-      let offline = Jmpax.Pipeline.check ~config ~spec program in
-      let config =
-        Jmpax.Config.default () |> Jmpax.Config.with_sched (Tml.Sched.of_script script)
-      in
-      let online = Jmpax.Pipeline.check_online ~config ~spec program in
-      Alcotest.(check bool) "verdicts agree"
-        (Jmpax.Pipeline.predicted_violation offline)
-        online.Jmpax.Pipeline.o_violated;
-      Alcotest.(check int) "same violation count"
-        (List.length offline.Jmpax.Pipeline.predictive.Predict.Analyzer.violations)
-        (List.length online.Jmpax.Pipeline.o_violations);
-      Alcotest.(check int) "frontier matches offline peak"
-        offline.Jmpax.Pipeline.predictive.Predict.Analyzer.stats
-          .Predict.Analyzer.max_frontier_entries
-        online.Jmpax.Pipeline.o_gc.Predict.Online.peak_frontier_entries)
+      let offline = (Jmpax.Pipeline.check ~config:(config ()) ~spec program).predictive in
+      let online = monitor_while_running ~config:(config ()) ~spec program in
+      Alcotest.(check bool) "verdicts agree" (Predict.Online.violated offline)
+        (Predict.Online.violated online);
+      Alcotest.(check (list (list int))) "same violating cuts" (violation_cuts offline)
+        (violation_cuts online);
+      Alcotest.(check bool) "same gc stats" true
+        (Predict.Online.gc_stats offline = Predict.Online.gc_stats online))
     [ (Tml.Programs.landing_bounded, Pastltl.Formula.landing_spec,
        Tml.Programs.landing_observed);
       (Tml.Programs.xyz, Pastltl.Formula.xyz_spec, Tml.Programs.xyz_observed) ]
@@ -123,22 +136,15 @@ let test_check_online_agrees_with_offline () =
 let test_check_online_random_schedules () =
   List.iter
     (fun seed ->
-      let offline =
-        Jmpax.Pipeline.check
-          ~config:(Jmpax.Config.default () |> Jmpax.Config.with_seed seed)
-          ~spec:Pastltl.Formula.landing_spec
-          (Tml.Programs.landing_full ~rounds:2)
-      in
-      let online =
-        Jmpax.Pipeline.check_online
-          ~config:(Jmpax.Config.default () |> Jmpax.Config.with_seed seed)
-          ~spec:Pastltl.Formula.landing_spec
-          (Tml.Programs.landing_full ~rounds:2)
-      in
+      let config () = Jmpax.Config.default () |> Jmpax.Config.with_seed seed in
+      let program = Tml.Programs.landing_full ~rounds:2 in
+      let spec = Pastltl.Formula.landing_spec in
+      let offline = Jmpax.Pipeline.check ~config:(config ()) ~spec program in
+      let online = monitor_while_running ~config:(config ()) ~spec program in
       Alcotest.(check bool)
         (Printf.sprintf "seed %d agrees" seed)
         (Jmpax.Pipeline.predicted_violation offline)
-        online.Jmpax.Pipeline.o_violated)
+        (Predict.Online.violated online))
     [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
 
 (* {1 Pipeline-level soundness} *)
@@ -203,18 +209,37 @@ let test_jpax_latching () =
     (Jmpax.Jpax.violation_index monitor);
   Alcotest.(check int) "4 states seen" 4 (Jmpax.Jpax.states_seen monitor)
 
+(* The baseline checks the one observed interleaving.  So does the
+   lattice analysis of the computation that totally orders the observed
+   messages (one thread emitting them all): its lattice is a chain with
+   exactly that run. *)
 let test_jpax_agrees_with_observed_verdict () =
-  let spec = Pastltl.Formula.xyz_spec in
-  let r =
-    Tml.Vm.run_program
-      ~relevance:(Mvc.Relevance.writes_of_vars [ "x"; "y"; "z" ])
-      ~sched:(Tml.Sched.of_script Tml.Programs.xyz_observed)
-      Tml.Programs.xyz
-  in
-  let init = Tml.Programs.xyz.Tml.Ast.shared in
-  Alcotest.(check bool) "one-shot = analyzer baseline"
-    (Predict.Analyzer.observed_run_verdict ~spec ~init r.Tml.Vm.messages)
-    (Jmpax.Jpax.check_messages ~spec ~init r.Tml.Vm.messages)
+  List.iter
+    (fun (program, script, spec) ->
+      let r =
+        Tml.Vm.run_program
+          ~relevance:(Mvc.Relevance.writes_of_vars (Pastltl.Formula.vars spec))
+          ~sched:(Tml.Sched.of_script script) program
+      in
+      let init = program.Tml.Ast.shared in
+      let chain =
+        List.mapi
+          (fun k (m : Trace.Message.t) ->
+            Trace.Message.make ~eid:k ~tid:0 ~var:m.var ~value:m.value
+              ~mvc:(Vclock.of_list [ k + 1 ]))
+          r.Tml.Vm.messages
+      in
+      let online = Predict.Online.create ~nthreads:1 ~init ~spec () in
+      Predict.Online.feed_all online chain;
+      Predict.Online.finish online;
+      Alcotest.(check bool) "one-shot = analysis of the observed run"
+        (not (Predict.Online.violated online))
+        (Jmpax.Jpax.check_messages ~spec ~init r.Tml.Vm.messages))
+    [ (Tml.Programs.xyz, Tml.Programs.xyz_observed, Pastltl.Formula.xyz_spec);
+      (Tml.Programs.landing_bounded, Tml.Programs.landing_observed,
+       Pastltl.Formula.landing_spec);
+      (Tml.Programs.landing_bounded, Tml.Programs.landing_observed,
+       Pastltl.Fparser.parse "always radio == 1") ]
 
 (* {1 Wire format} *)
 
@@ -283,16 +308,52 @@ let test_wire_file_and_observer () =
             Observer.Computation.of_messages_exn ~nthreads:h.Jmpax.Wire.nthreads
               ~init:h.Jmpax.Wire.init ms
           in
-          let report = Predict.Analyzer.analyze ~spec:Pastltl.Formula.xyz_spec comp in
+          let online = Predict.Online.of_computation ~spec:Pastltl.Formula.xyz_spec comp in
           Alcotest.(check bool) "violation predicted from the file" true
-            (Predict.Analyzer.violated report))
+            (Predict.Online.violated online))
 
-(* {1 Reports} *)
+(* {1 Command line} *)
 
 let contains ~needle haystack =
   let n = String.length needle and h = String.length haystack in
   let rec at i = i + n <= h && (String.sub haystack i n = needle || at (i + 1)) in
   n = 0 || at 0
+
+(* Runs the [jmpax] binary built next to this test; returns its exit
+   code, stdout and stderr. *)
+let jmpax args =
+  let exe =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/jmpax_cli.exe"
+  in
+  let ic, oc, ec =
+    Unix.open_process_args_full exe (Array.of_list ("jmpax" :: args)) (Unix.environment ())
+  in
+  close_out oc;
+  let out = In_channel.input_all ic and err = In_channel.input_all ec in
+  match Unix.close_process_full (ic, oc, ec) with
+  | Unix.WEXITED code -> (code, out, err)
+  | _ -> Alcotest.fail "jmpax killed by a signal"
+
+(* [stream] reads wire v2 and v3 only: a v1 trace is refused with a
+   message naming v1 and pointing to [observe], which reads it. *)
+let test_cli_stream_refuses_v1 () =
+  let path = Filename.temp_file "jmpax" ".v1" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Jmpax.Wire.write_file ~format:Jmpax.Wire.V1 path
+        { Jmpax.Wire.nthreads = 2; init = Tml.Programs.xyz.Tml.Ast.shared }
+        (xyz_messages ());
+      let spec = "x > 0 ==> [y == 0, y > z)" in
+      let code, _, err = jmpax [ "stream"; path; "--spec"; spec ] in
+      Alcotest.(check int) "decode-error exit" 3 code;
+      Alcotest.(check bool) ("names v1: " ^ err) true (contains ~needle:"v1" err);
+      Alcotest.(check bool) "points to observe" true (contains ~needle:"jmpax observe" err);
+      let code, out, _ = jmpax [ "observe"; path; "--spec"; spec ] in
+      Alcotest.(check int) "observe reads it: violation" 1 code;
+      Alcotest.(check bool) "observe reports" true (contains ~needle:"levels=5" out))
+
+(* {1 Reports} *)
 
 let test_example_report_fig5 () =
   let report =
@@ -361,6 +422,8 @@ let () =
           Alcotest.test_case "escaping" `Quick test_wire_escaping;
           Alcotest.test_case "garbage rejected" `Quick test_wire_rejects_garbage;
           Alcotest.test_case "file to observer" `Quick test_wire_file_and_observer ] );
+      ( "cli", [ Alcotest.test_case "stream refuses v1, observe reads it" `Quick
+                 test_cli_stream_refuses_v1 ] );
       ( "reports",
         [ Alcotest.test_case "Fig. 5 report" `Quick test_example_report_fig5;
           Alcotest.test_case "Fig. 6 report" `Quick test_example_report_fig6;

@@ -71,47 +71,48 @@ let test_bounded_reorder_window_bound () =
       Alcotest.(check bool) "displacement bounded" true (old_pos - new_pos <= 1))
     delivered
 
-(* {1 Ingest} *)
+(* {1 Ingest}
+
+   The observer reassembles whatever the channel delivers with
+   [Computation.of_messages]: per thread, by index, refusing a duplicate
+   or a gap. *)
+
+let of_messages (nthreads, init, messages) =
+  Observer.Computation.of_messages ~nthreads ~init messages
 
 let test_ingest_in_order () =
   let nthreads, init, messages = xyz_obs () in
-  let ing = Observer.Ingest.create ~nthreads ~init () in
-  Observer.Ingest.add_all ing messages;
-  Alcotest.(check int) "all added" 4 (Observer.Ingest.added ing);
-  let ready = Observer.Ingest.take_ready ing in
-  Alcotest.(check int) "all released" 4 (List.length ready);
-  Alcotest.(check int) "nothing pending" 0 (Observer.Ingest.pending ing)
+  match of_messages (nthreads, init, messages) with
+  | Error e -> Alcotest.fail e
+  | Ok c ->
+      Alcotest.(check int) "all received" 4 (Observer.Computation.total c);
+      Alcotest.(check (list int)) "per thread" [ 2; 2 ]
+        (List.init nthreads (Observer.Computation.thread_count c))
 
 let test_ingest_out_of_order_releases_prefixes () =
   let nthreads, init, messages = xyz_obs () in
   (* Deliver thread 0's second message before its first. *)
   let m0_1 = List.nth messages 0 (* x=0, T0 #1 *) in
   let m0_2 = List.nth messages 3 (* y=1, T0 #2 *) in
-  let ing = Observer.Ingest.create ~nthreads ~init () in
-  Observer.Ingest.add ing m0_2;
-  Alcotest.(check int) "buffered, not ready" 0
-    (List.length (Observer.Ingest.take_ready ing));
-  Alcotest.(check int) "pending one" 1 (Observer.Ingest.pending ing);
-  Observer.Ingest.add ing m0_1;
-  Alcotest.(check int) "both released in order" 2
-    (List.length (Observer.Ingest.take_ready ing));
-  Alcotest.(check int) "released count" 2 (Observer.Ingest.released ing)
+  let rest = List.filter (fun m -> m != m0_1 && m != m0_2) messages in
+  match of_messages (nthreads, init, (m0_2 :: rest) @ [ m0_1 ]) with
+  | Error e -> Alcotest.fail e
+  | Ok c ->
+      Alcotest.(check bool) "first by index" true
+        (Message.equal m0_1 (Observer.Computation.message c 0 1));
+      Alcotest.(check bool) "second by index" true
+        (Message.equal m0_2 (Observer.Computation.message c 0 2))
 
 let test_ingest_rejects_duplicates () =
   let nthreads, init, messages = xyz_obs () in
-  let ing = Observer.Ingest.create ~nthreads ~init () in
-  let m = List.hd messages in
-  Observer.Ingest.add ing m;
-  match Observer.Ingest.add ing m with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "duplicate accepted"
+  match of_messages (nthreads, init, List.hd messages :: messages) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "duplicate accepted"
 
 let test_ingest_detects_gaps () =
   let nthreads, init, messages = xyz_obs () in
-  let ing = Observer.Ingest.create ~nthreads ~init () in
   (* Drop thread 0's first message. *)
-  List.iteri (fun i m -> if i <> 0 then Observer.Ingest.add ing m) messages;
-  match Observer.Ingest.computation ing with
+  match of_messages (nthreads, init, List.tl messages) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "gap not detected"
 

@@ -1,4 +1,4 @@
-(* Tests for the predictive analyses: the level-by-level analyzer
+(* Tests for the predictive analyses: the level-by-level online analyzer
    (cross-checked against explicit run enumeration), counterexample
    extraction, race detection, lock-graph deadlock prediction, and
    lasso-based liveness checking. *)
@@ -19,14 +19,19 @@ let landing_comp () =
 
 let xyz_comp () = observe Tml.Programs.xyz Tml.Programs.xyz_observed [ "x"; "y"; "z" ]
 
-(* {1 Analyzer on the paper's examples} *)
+(* {1 The analyzer on the paper's examples} *)
+
+let analyze spec comp = Predict.Online.of_computation ~spec comp
+
+(* Every cut a finished sweep visited: the retired levels plus the last. *)
+let cuts_visited o =
+  (Predict.Online.gc_stats o).Predict.Online.retired_cuts + Predict.Online.frontier_cuts o
 
 let test_landing_prediction () =
-  let report = Predict.Analyzer.analyze ~spec:Pastltl.Formula.landing_spec (landing_comp ()) in
-  Alcotest.(check bool) "violation predicted" true (Predict.Analyzer.violated report);
-  Alcotest.(check int) "4 levels" 4 report.Predict.Analyzer.stats.Predict.Analyzer.levels;
-  Alcotest.(check int) "6 cuts visited (Fig. 5)" 6
-    report.Predict.Analyzer.stats.Predict.Analyzer.cuts_visited
+  let o = analyze Pastltl.Formula.landing_spec (landing_comp ()) in
+  Alcotest.(check bool) "violation predicted" true (Predict.Online.violated o);
+  Alcotest.(check int) "4 levels" 4 (Predict.Online.level o + 1);
+  Alcotest.(check int) "6 cuts visited (Fig. 5)" 6 (cuts_visited o)
 
 let test_landing_observed_run_is_clean () =
   (* The observed interleaving satisfies the property: the baseline sees
@@ -38,31 +43,21 @@ let test_landing_observed_run_is_clean () =
       Tml.Programs.landing_bounded
   in
   Alcotest.(check bool) "baseline misses" true
-    (Predict.Analyzer.observed_run_verdict ~spec:Pastltl.Formula.landing_spec
+    (Jmpax.Jpax.check_messages ~spec:Pastltl.Formula.landing_spec
        ~init:Tml.Programs.landing_bounded.Tml.Ast.shared r.Tml.Vm.messages)
 
 let test_xyz_prediction () =
-  let report = Predict.Analyzer.analyze ~spec:Pastltl.Formula.xyz_spec (xyz_comp ()) in
-  Alcotest.(check bool) "violation predicted" true (Predict.Analyzer.violated report);
-  Alcotest.(check int) "7 cuts visited (Fig. 6)" 7
-    report.Predict.Analyzer.stats.Predict.Analyzer.cuts_visited
-
-let test_stop_at_first () =
-  let report =
-    Predict.Analyzer.analyze ~stop_at_first:true ~spec:Pastltl.Formula.xyz_spec (xyz_comp ())
-  in
-  Alcotest.(check bool) "still violated" true (Predict.Analyzer.violated report);
-  Alcotest.(check bool) "stopped early" true
-    (report.Predict.Analyzer.stats.Predict.Analyzer.levels <= 5)
+  let o = analyze Pastltl.Formula.xyz_spec (xyz_comp ()) in
+  Alcotest.(check bool) "violation predicted" true (Predict.Online.violated o);
+  Alcotest.(check int) "7 cuts visited (Fig. 6)" 7 (cuts_visited o)
 
 let test_true_spec_never_violated () =
-  let report = Predict.Analyzer.analyze ~spec:Pastltl.Formula.True (xyz_comp ()) in
-  Alcotest.(check bool) "true is safe" false (Predict.Analyzer.violated report)
+  let o = analyze Pastltl.Formula.True (xyz_comp ()) in
+  Alcotest.(check bool) "true is safe" false (Predict.Online.violated o)
 
 let test_false_spec_violated_at_bottom () =
-  let report = Predict.Analyzer.analyze ~spec:Pastltl.Formula.False (xyz_comp ()) in
-  match report.Predict.Analyzer.violations with
-  | v :: _ -> Alcotest.(check int) "level 0" 0 v.Predict.Analyzer.level
+  match Predict.Online.violations (analyze Pastltl.Formula.False (xyz_comp ())) with
+  | v :: _ -> Alcotest.(check int) "level 0" 0 v.Predict.Online.level
   | [] -> Alcotest.fail "false must be violated"
 
 (* {1 Counterexamples} *)
@@ -88,7 +83,10 @@ let test_xyz_counterexamples () =
   Alcotest.(check (list string)) "violating order" [ "x"; "y"; "z"; "x" ]
     (vars_of ce.Predict.Counterexample.run)
 
-(* {1 Analyzer = run enumeration (the paper's soundness/completeness)} *)
+(* {1 Analyzer = run enumeration (the paper's soundness/completeness)}
+
+   {!Predict.Counterexample.check} enumerates every run explicitly: it
+   is the ground truth the lattice analysis is checked against. *)
 
 let specs_pool =
   [ Pastltl.Formula.landing_spec;
@@ -115,20 +113,34 @@ let computations_pool () =
     rr_obs (Tml.Programs.independent ~threads:2 ~writes:2) [ "v0"; "v1" ];
     rr_obs (Tml.Programs.independent ~threads:3 ~writes:1) [ "v0"; "v1"; "v2" ] ]
 
+(* The analyzer fed a computation's messages in [feed_order], then
+   finished. *)
+let online_of_comp ?(jobs = 1) ?par_threshold spec comp ~feed_order =
+  let nthreads = Observer.Computation.nthreads comp in
+  let init = Pastltl.State.to_list (Observer.Computation.init_state comp) in
+  let online = Predict.Online.create ~jobs ?par_threshold ~nthreads ~init ~spec () in
+  Predict.Online.feed_all online (feed_order (Observer.Computation.messages comp));
+  Predict.Online.finish online;
+  online
+
+let delivery_orders =
+  [ ("in-order", Fun.id); ("reversed", List.rev); ("shuffled", Observer.Channel.shuffle ~seed:5) ]
+
 let test_analyzer_equals_enumeration () =
   List.iter
     (fun comp ->
       List.iter
         (fun spec ->
-          let predicted =
-            Predict.Analyzer.violated (Predict.Analyzer.analyze ~spec comp)
-          in
           let enumerated =
             Predict.Counterexample.violated (Predict.Counterexample.check ~spec comp)
           in
-          Alcotest.(check bool)
-            (Format.asprintf "agree on %a" Pastltl.Formula.pp spec)
-            enumerated predicted)
+          List.iter
+            (fun (order, feed_order) ->
+              Alcotest.(check bool)
+                (Format.asprintf "%s delivery agrees on %a" order Pastltl.Formula.pp spec)
+                enumerated
+                (Predict.Online.violated (online_of_comp spec comp ~feed_order)))
+            delivery_orders)
         specs_pool)
     (computations_pool ())
 
@@ -137,14 +149,14 @@ let test_analyzer_frontier_is_bounded () =
      the lattice's widest level, never the whole lattice. *)
   List.iter
     (fun comp ->
-      let report = Predict.Analyzer.analyze ~spec:Pastltl.Formula.True comp in
+      let o = analyze Pastltl.Formula.True comp in
       let lattice = Observer.Lattice.build comp in
       Alcotest.(check int) "frontier = lattice max width"
         (Observer.Lattice.max_width lattice)
-        report.Predict.Analyzer.stats.Predict.Analyzer.max_frontier_cuts;
+        (Predict.Online.gc_stats o).Predict.Online.peak_frontier_cuts;
       Alcotest.(check int) "visits every cut once"
         (Observer.Lattice.node_count lattice)
-        report.Predict.Analyzer.stats.Predict.Analyzer.cuts_visited)
+        (cuts_visited o))
     (computations_pool ())
 
 (* {1 Race detection} *)
@@ -449,7 +461,7 @@ let test_replay_counterexamples () =
                   program.Tml.Ast.shared
               in
               Alcotest.(check bool) (name ^ ": replayed run violates observably") false
-                (Predict.Analyzer.observed_run_verdict ~spec ~init
+                (Jmpax.Jpax.check_messages ~spec ~init
                    outcome.Predict.Replay.result.Tml.Vm.messages);
               Alcotest.(check int) (name ^ ": all target events emitted")
                 (List.length ce.Predict.Counterexample.run)
@@ -504,32 +516,35 @@ let test_replay_rejects_short_target () =
 
 (* {1 Online analyzer} *)
 
-let online_of_comp ?(jobs = 1) ?par_threshold spec comp messages ~feed_order =
-  let nthreads = Observer.Computation.nthreads comp in
-  let init = Pastltl.State.to_list (Observer.Computation.init_state comp) in
-  let online = Predict.Online.create ~jobs ?par_threshold ~nthreads ~init ~spec () in
-  Predict.Online.feed_all online (feed_order messages);
-  Predict.Online.finish online;
-  online
+let violation_equal (a : Predict.Online.violation) (b : Predict.Online.violation) =
+  a.Predict.Online.level = b.Predict.Online.level
+  && a.Predict.Online.cut = b.Predict.Online.cut
+  && Pastltl.State.equal a.Predict.Online.state b.Predict.Online.state
+  && Pastltl.Monitor.compare_state a.Predict.Online.monitor_state
+       b.Predict.Online.monitor_state
+     = 0
 
+let violations_equal a b =
+  List.length a = List.length b && List.for_all2 violation_equal a b
+
+(* Offline analysis is the analyzer fed in order; any other delivery
+   order must find the same violations, level for level, and sweep the
+   same lattice. *)
 let test_online_equals_offline_on_examples () =
   List.iter
     (fun (comp, spec) ->
-      let offline = Predict.Analyzer.analyze ~spec comp in
-      let messages = Observer.Computation.messages comp in
+      let offline = analyze spec comp in
       List.iter
         (fun (name, feed_order) ->
-          let online = online_of_comp spec comp messages ~feed_order in
+          let online = online_of_comp spec comp ~feed_order in
           Alcotest.(check bool)
-            (Format.asprintf "%s delivery agrees on %a" name Pastltl.Formula.pp spec)
-            (Predict.Analyzer.violated offline)
-            (Predict.Online.violated online);
-          Alcotest.(check int) (name ^ ": same violation count")
-            (List.length offline.Predict.Analyzer.violations)
-            (List.length (Predict.Online.violations online)))
-        [ ("in-order", fun ms -> ms);
-          ("reversed", List.rev);
-          ("shuffled", Observer.Channel.shuffle ~seed:5) ])
+            (Format.asprintf "%s delivery: same violations on %a" name Pastltl.Formula.pp spec)
+            true
+            (violations_equal (Predict.Online.violations offline)
+               (Predict.Online.violations online));
+          Alcotest.(check bool) (name ^ ": same gc stats") true
+            (Predict.Online.gc_stats offline = Predict.Online.gc_stats online))
+        delivery_orders)
     [ (landing_comp (), Pastltl.Formula.landing_spec);
       (xyz_comp (), Pastltl.Formula.xyz_spec);
       (landing_comp (), Pastltl.Formula.True);
@@ -634,39 +649,24 @@ let test_online_far_out_of_order () =
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "gap not detected"
 
-(* Online and offline must agree on random program computations under
-   random delivery orders. *)
+(* In-order and shuffled delivery must find the same violations on the
+   pool's computations. *)
 let test_online_equals_offline_random () =
   List.iter
     (fun comp ->
       List.iter
         (fun spec ->
-          let offline = Predict.Analyzer.violated (Predict.Analyzer.analyze ~spec comp) in
+          let offline = Predict.Online.violations (analyze spec comp) in
           List.iter
             (fun seed ->
               let online =
-                online_of_comp spec comp
-                  (Observer.Computation.messages comp)
-                  ~feed_order:(Observer.Channel.shuffle ~seed)
+                online_of_comp spec comp ~feed_order:(Observer.Channel.shuffle ~seed)
               in
-              Alcotest.(check bool) "agrees" offline (Predict.Online.violated online))
+              Alcotest.(check bool) "agrees" true
+                (violations_equal offline (Predict.Online.violations online)))
             [ 1; 2; 3 ])
         specs_pool)
     (computations_pool ())
-
-(* {1 jobs=N differential: the parallel frontier engine must be
-      indistinguishable from the sequential one} *)
-
-let violation_equal (a : Predict.Analyzer.violation) (b : Predict.Analyzer.violation) =
-  a.Predict.Analyzer.level = b.Predict.Analyzer.level
-  && a.Predict.Analyzer.cut = b.Predict.Analyzer.cut
-  && Pastltl.State.equal a.Predict.Analyzer.state b.Predict.Analyzer.state
-  && Pastltl.Monitor.compare_state a.Predict.Analyzer.monitor_state
-       b.Predict.Analyzer.monitor_state
-     = 0
-
-let violations_equal a b =
-  List.length a = List.length b && List.for_all2 violation_equal a b
 
 (* {1 Online store bound}
 
@@ -773,13 +773,13 @@ let test_online_store_counters () =
 (* Snapshot and restore at every feed index: one run resumed from its
    own snapshot before every message, plus complete runs resumed from
    evenly spaced snapshots, all agree with the uninterrupted run and the
-   offline analyzer. *)
+   offline (in-order) analysis. *)
 let test_online_resume_every_index () =
   let comp, messages = handoff_comp ~iterations:520 in
   let spec = handoff_spec in
   let messages = Array.of_list messages in
   let n = Array.length messages in
-  let offline = Predict.Analyzer.analyze ~spec comp in
+  let offline = analyze spec comp in
   let whole = online_for comp spec in
   Array.iter (Predict.Online.feed whole) messages;
   Predict.Online.finish whole;
@@ -787,12 +787,11 @@ let test_online_resume_every_index () =
   let agrees name o =
     Alcotest.(check bool) (name ^ ": violations = uninterrupted") true
       (violations_equal (Predict.Online.violations whole) (Predict.Online.violations o));
-    Alcotest.(check bool) (name ^ ": violations = analyzer") true
-      (violations_equal offline.Predict.Analyzer.violations (Predict.Online.violations o));
+    Alcotest.(check bool) (name ^ ": violations = offline") true
+      (violations_equal (Predict.Online.violations offline) (Predict.Online.violations o));
     Alcotest.(check int) (name ^ ": level") (Predict.Online.level whole)
       (Predict.Online.level o);
-    Alcotest.(check int) (name ^ ": level = analyzer")
-      (offline.Predict.Analyzer.stats.Predict.Analyzer.levels - 1)
+    Alcotest.(check int) (name ^ ": level = offline") (Predict.Online.level offline)
       (Predict.Online.level o);
     Alcotest.(check bool) (name ^ ": gc stats") true
       (Predict.Online.gc_stats whole = Predict.Online.gc_stats o)
@@ -820,39 +819,52 @@ let test_online_resume_every_index () =
       agrees (Printf.sprintf "resumed at %d" i) o)
     !snapshots
 
-let check_analyzer_differential ~name spec comp =
-  let seq = Predict.Analyzer.analyze ~jobs:1 ~spec comp in
-  List.iter
-    (fun jobs ->
-      let par = Predict.Analyzer.analyze ~jobs ~par_threshold:0 ~spec comp in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: jobs=%d identical violations" name jobs)
-        true
-        (violations_equal seq.Predict.Analyzer.violations
-           par.Predict.Analyzer.violations);
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: jobs=%d identical stats" name jobs)
-        true
-        (seq.Predict.Analyzer.stats = par.Predict.Analyzer.stats))
-    [ 2; 4 ]
-
-let test_analyzer_jobs_differential () =
+(* A stream that violates the spec on most of its cuts keeps only the
+   first [max_violations] pairs, and a checkpoint carries no more: the
+   run resumed from a snapshot before every feed keeps the same pairs
+   and stays violated. *)
+let test_online_violations_capped () =
+  let comp, messages = handoff_comp ~iterations:60 in
+  let spec = Pastltl.Fparser.parse "a <= 5" in
+  let cap = Predict.Online.max_violations in
+  let violating =
+    List.filter
+      (fun n -> Pastltl.State.get n.Observer.Lattice.state "a" > 5)
+      (Observer.Lattice.nodes (Observer.Lattice.build comp))
+  in
+  Alcotest.(check bool) "more violating cuts than the cap" true
+    (List.length violating > cap);
+  let whole = online_for comp spec in
+  let resumed = ref (online_for comp spec) in
   List.iteri
-    (fun i comp ->
-      List.iter
-        (fun spec ->
-          check_analyzer_differential
-            ~name:(Format.asprintf "comp %d, %a" i Pastltl.Formula.pp spec)
-            spec comp)
-        specs_pool)
-    (computations_pool ())
+    (fun i m ->
+      Predict.Online.feed whole m;
+      if List.length (Predict.Online.violations whole) > cap then
+        Alcotest.failf "after feed %d: more than %d violations kept" i cap;
+      let s = Predict.Online.snapshot !resumed in
+      if List.length s.Predict.Online.snap_violations > cap then
+        Alcotest.failf "after feed %d: the snapshot carries more than %d violations" i cap;
+      resumed := Predict.Online.restore ~spec s;
+      Predict.Online.feed !resumed m)
+    messages;
+  Predict.Online.finish whole;
+  Predict.Online.finish !resumed;
+  Alcotest.(check int) "the first pairs are kept" cap
+    (List.length (Predict.Online.violations whole));
+  Alcotest.(check bool) "resumed run stays violated" true (Predict.Online.violated !resumed);
+  Alcotest.(check bool) "resumed run keeps the same pairs" true
+    (violations_equal (Predict.Online.violations whole) (Predict.Online.violations !resumed));
+  let levels = List.map (fun v -> v.Predict.Online.level) (Predict.Online.violations whole) in
+  Alcotest.(check (list int)) "in level order" (List.sort compare levels) levels
+
+(* {1 jobs=N differential: the parallel frontier engine must be
+      indistinguishable from the sequential one} *)
 
 let check_online_differential ~name spec comp ~feed_order =
-  let messages = Observer.Computation.messages comp in
-  let seq = online_of_comp ~jobs:1 spec comp messages ~feed_order in
+  let seq = online_of_comp ~jobs:1 spec comp ~feed_order in
   List.iter
     (fun jobs ->
-      let par = online_of_comp ~jobs ~par_threshold:0 spec comp messages ~feed_order in
+      let par = online_of_comp ~jobs ~par_threshold:0 spec comp ~feed_order in
       Alcotest.(check bool)
         (Printf.sprintf "%s: jobs=%d identical violations" name jobs)
         true
@@ -884,8 +896,10 @@ let test_online_jobs_differential () =
         specs_pool)
     (computations_pool ())
 
-(* Random programs: 2-3 threads of random writes to a small shared pool,
-   run under a random schedule, then analyzed at every jobs count. *)
+(* Random programs: 2-3 threads of random writes to a small shared pool
+   (at most 9 events, so at most 1680 runs), run under a random
+   schedule, then analyzed at every jobs count and checked against
+   explicit run enumeration. *)
 let gen_random_program =
   QCheck.Gen.(
     let var = oneofl [ "a"; "b"; "c" ] in
@@ -931,26 +945,21 @@ let comp_of_random (threads, sched_seed, _) =
     ~init:program.Tml.Ast.shared r.Tml.Vm.messages
 
 let qcheck_jobs_differential =
-  QCheck.Test.make ~name:"random programs: jobs=N == jobs=1 (analyzer + online)"
+  QCheck.Test.make ~name:"random programs: jobs=N == jobs=1, verdict = enumeration"
     ~count:60 arb_random_program (fun ((_, _, spec_seed) as rp) ->
       let comp = comp_of_random rp in
       let spec = List.nth random_specs_pool (spec_seed mod List.length random_specs_pool) in
-      let seq = Predict.Analyzer.analyze ~jobs:1 ~spec comp in
-      let par = Predict.Analyzer.analyze ~jobs:3 ~par_threshold:0 ~spec comp in
-      let analyzer_ok =
-        violations_equal seq.Predict.Analyzer.violations par.Predict.Analyzer.violations
-        && seq.Predict.Analyzer.stats = par.Predict.Analyzer.stats
-      in
-      let messages = Observer.Computation.messages comp in
       let feed_order = Observer.Channel.shuffle ~seed:spec_seed in
-      let oseq = online_of_comp ~jobs:1 spec comp messages ~feed_order in
-      let opar = online_of_comp ~jobs:3 ~par_threshold:0 spec comp messages ~feed_order in
-      let online_ok =
-        violations_equal (Predict.Online.violations oseq) (Predict.Online.violations opar)
-        && Predict.Online.level oseq = Predict.Online.level opar
-        && Predict.Online.gc_stats oseq = Predict.Online.gc_stats opar
+      let oseq = online_of_comp ~jobs:1 spec comp ~feed_order in
+      let opar = online_of_comp ~jobs:3 ~par_threshold:0 spec comp ~feed_order in
+      let enumerated =
+        Predict.Counterexample.violated (Predict.Counterexample.check ~spec comp)
       in
-      analyzer_ok && online_ok)
+      violations_equal (Predict.Online.violations oseq) (Predict.Online.violations opar)
+      && Predict.Online.level oseq = Predict.Online.level opar
+      && Predict.Online.gc_stats oseq = Predict.Online.gc_stats opar
+      && Predict.Online.violated oseq = enumerated
+      && Predict.Online.violated (analyze spec comp) = enumerated)
 
 let test_counterexample_run_count_fields () =
   let report =
@@ -968,7 +977,6 @@ let () =
           Alcotest.test_case "landing baseline misses" `Quick
             test_landing_observed_run_is_clean;
           Alcotest.test_case "xyz prediction" `Quick test_xyz_prediction;
-          Alcotest.test_case "stop at first" `Quick test_stop_at_first;
           Alcotest.test_case "true spec" `Quick test_true_spec_never_violated;
           Alcotest.test_case "false spec" `Quick test_false_spec_violated_at_bottom ] );
       ( "counterexamples",
@@ -1023,11 +1031,10 @@ let () =
           Alcotest.test_case "store counters agree with the store" `Quick
             test_online_store_counters;
           Alcotest.test_case "resume at every feed index" `Quick
-            test_online_resume_every_index ] );
+            test_online_resume_every_index;
+          Alcotest.test_case "violations capped" `Quick test_online_violations_capped ] );
       ( "jobs differential",
-        [ Alcotest.test_case "analyzer jobs=N == jobs=1" `Quick
-            test_analyzer_jobs_differential;
-          Alcotest.test_case "online jobs=N == jobs=1" `Quick
+        [ Alcotest.test_case "online jobs=N == jobs=1" `Quick
             test_online_jobs_differential;
           QCheck_alcotest.to_alcotest qcheck_jobs_differential;
           Alcotest.test_case "counterexample run-count fields" `Quick

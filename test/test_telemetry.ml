@@ -454,11 +454,9 @@ let analyzer_output () =
       [ "landing"; "approved"; "radio" ]
   in
   let report = Predict.Counterexample.check ~spec:Pastltl.Formula.landing_spec comp in
-  let a = Predict.Analyzer.analyze ~spec:Pastltl.Formula.landing_spec comp in
-  Format.asprintf "%a@.levels=%d cuts=%d violated=%b@." Predict.Counterexample.pp_report
-    report a.Predict.Analyzer.stats.Predict.Analyzer.levels
-    a.Predict.Analyzer.stats.Predict.Analyzer.cuts_visited
-    (Predict.Analyzer.violated a)
+  let a = Predict.Online.of_computation ~spec:Pastltl.Formula.landing_spec comp in
+  Format.asprintf "%a@.%a@.violated=%b@." Predict.Counterexample.pp_report report
+    Predict.Online.pp_report a (Predict.Online.violated a)
 
 let test_instrumentation_off_is_identical () =
   M.disable ();

@@ -534,22 +534,26 @@ let test_online_backpressure () =
       Alcotest.(check int) "limit" 2 limit;
       Alcotest.(check int) "buffered at the bound" 2 buffered
 
+(* [check] feeds what the channel delivers to the online analyzer under
+   the same bound: a channel that reorders more than [max_buffered]
+   messages at once is refused. *)
 let test_ingest_backpressure () =
-  let header, rev_ms = reversed_singlethread 4 in
-  let ing =
-    Observer.Ingest.create ~max_buffered:2 ~nthreads:header.W.nthreads
-      ~init:header.W.init ()
+  let config max_buffered =
+    Jmpax.Config.default ()
+    |> Jmpax.Config.with_channel (Jmpax.Config.Shuffled 3)
+    |> Jmpax.Config.with_max_buffered max_buffered
   in
-  let rec push = function
-    | [] -> Alcotest.fail "bound of 2 absorbed 3 out-of-order messages"
-    | m :: rest -> (
-        match Observer.Ingest.offer ing m with
-        | Ok () -> push rest
-        | Error (Observer.Ingest.Overflow { limit; _ }) ->
-            Alcotest.(check int) "limit" 2 limit
-        | Error r -> Alcotest.fail (Observer.Ingest.reject_to_string r))
+  let check max_buffered =
+    Jmpax.Pipeline.check ~config:(config max_buffered) ~spec:(Pastltl.Fparser.parse "v0 >= 0")
+      (Tml.Programs.independent ~threads:1 ~writes:8)
   in
-  push rev_ms
+  (match check (Some 2) with
+  | _ -> Alcotest.fail "bound of 2 absorbed a shuffled 8-message thread"
+  | exception Predict.Online.Backpressure { buffered; limit } ->
+      Alcotest.(check int) "limit" 2 limit;
+      Alcotest.(check int) "buffered at the bound" 2 buffered);
+  Alcotest.(check bool) "a generous bound passes" false
+    (Jmpax.Pipeline.predicted_violation (check (Some 8)))
 
 let test_stream_backpressure_enforced () =
   let header, rev_ms = reversed_singlethread 6 in
