@@ -79,17 +79,6 @@ let channel_arg =
   in
   Arg.(value & opt string "in-order" & info [ "channel" ] ~docv:"MODEL" ~doc)
 
-let clock_arg =
-  let doc =
-    Printf.sprintf "Clock backend for Algorithm A: %s."
-      (String.concat ", "
-         (List.map (Printf.sprintf "$(b,%s)") (Clock.Registry.names ())))
-  in
-  Arg.(
-    value
-    & opt string Clock.Registry.default_name
-    & info [ "clock-backend" ] ~docv:"BACKEND" ~doc)
-
 let metrics_arg =
   let doc =
     "Record telemetry metrics during the run and dump the registry to \
@@ -125,14 +114,6 @@ let trace_arg =
      $(b,jmpax stats))."
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
-
-let parse_clock s =
-  match Clock.Registry.find s with
-  | Some b -> Ok b
-  | None ->
-      Error
-        (Printf.sprintf "unknown clock backend %S (known: %s)" s
-           (String.concat ", " (Clock.Registry.names ())))
 
 let parse_channel s =
   match String.split_on_char ':' s with
@@ -180,18 +161,16 @@ let parse_engines = function
 (* {1 check} *)
 
 let check_cmd =
-  let run example file spec seed fuel channel clock jobs engine counterexamples
+  let run example file spec seed fuel channel jobs engine counterexamples
       replay metrics trace =
     let program = or_die (load_program ~example ~file) in
     let spec = parse_spec spec in
     let channel = or_die (parse_channel channel) in
-    let clock = or_die (parse_clock clock) in
     let config =
       { (Jmpax.Config.default ()) with
         Jmpax.Config.sched = sched_of_seed seed;
         fuel;
         channel;
-        clock;
         jobs;
         engines = parse_engines engine;
         metrics;
@@ -243,15 +222,14 @@ let check_cmd =
   Cmd.v
     (Cmd.info "check" ~doc:"Run a program once and predict violations over all causally consistent runs.")
     Term.(const run $ example_arg $ file_arg $ spec_arg $ seed_arg $ fuel_arg
-          $ channel_arg $ clock_arg $ jobs_arg $ engine_arg $ counterexamples
+          $ channel_arg $ jobs_arg $ engine_arg $ counterexamples
           $ replay $ metrics_arg $ trace_arg)
 
 (* {1 run} *)
 
 let run_cmd =
-  let run example file seed fuel output format spec clock engine metrics trace =
+  let run example file seed fuel output format spec engine metrics trace =
     let program = or_die (load_program ~example ~file) in
-    let clock = or_die (parse_clock clock) in
     (* The race/atomicity engines consume reads as well as writes, so a
        trace recorded for them must carry every event; the mangled
        [#read:] messages pass through check/stream/serve transparently. *)
@@ -278,7 +256,7 @@ let run_cmd =
       |> Jmpax.Config.with_trace trace
     in
     Jmpax.Pipeline.with_telemetry tconfig @@ fun () ->
-    let r = Tml.Vm.run_program ~clock ~fuel ~relevance ~sched:(sched_of_seed seed) program in
+    let r = Tml.Vm.run_program ~fuel ~relevance ~sched:(sched_of_seed seed) program in
     Format.printf "outcome: %a (%d observable steps)@." Tml.Vm.pp_outcome
       r.Tml.Vm.outcome r.Tml.Vm.steps;
     Format.printf "final state:";
@@ -328,7 +306,7 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Execute an instrumented program once and dump its messages.")
     Term.(const run $ example_arg $ file_arg $ seed_arg $ fuel_arg $ output $ format
-          $ spec_arg $ clock_arg $ engine_arg $ metrics_arg $ trace_arg)
+          $ spec_arg $ engine_arg $ metrics_arg $ trace_arg)
 
 (* {1 observe} *)
 
@@ -973,15 +951,13 @@ let serve_cmd =
 (* {1 lattice} *)
 
 let lattice_cmd =
-  let run example file spec seed fuel clock jobs dot =
+  let run example file spec seed fuel jobs dot =
     let program = or_die (load_program ~example ~file) in
     let spec = parse_spec spec in
-    let clock = or_die (parse_clock clock) in
     let config =
       { (Jmpax.Config.default ()) with
         Jmpax.Config.sched = sched_of_seed seed;
         fuel;
-        clock;
         jobs }
     in
     let output = Jmpax.Pipeline.check ~config ~spec program in
@@ -1009,7 +985,7 @@ let lattice_cmd =
     (Cmd.info "lattice"
        ~doc:"Print the computation lattice of one monitored run (cf. the paper's Figs. 5 and 6).")
     Term.(const run $ example_arg $ file_arg $ spec_arg $ seed_arg $ fuel_arg
-          $ clock_arg $ jobs_arg $ dot)
+          $ jobs_arg $ dot)
 
 (* {1 race} *)
 
@@ -1133,15 +1109,13 @@ let fsm_cmd =
 (* {1 monitor (online)} *)
 
 let monitor_cmd =
-  let run example file spec seed fuel clock jobs metrics trace =
+  let run example file spec seed fuel jobs metrics trace =
     let program = or_die (load_program ~example ~file) in
     let spec = parse_spec spec in
-    let clock = or_die (parse_clock clock) in
     let config =
       { (Jmpax.Config.default ()) with
         Jmpax.Config.sched = sched_of_seed seed;
         fuel;
-        clock;
         jobs;
         detect_races = false;
         detect_deadlocks = false;
@@ -1173,7 +1147,7 @@ let monitor_cmd =
              online analyzer, and print the verdict with the analyzer's \
              garbage-collection statistics.")
     Term.(const run $ example_arg $ file_arg $ spec_arg $ seed_arg $ fuel_arg
-          $ clock_arg $ jobs_arg $ metrics_arg $ trace_arg)
+          $ jobs_arg $ metrics_arg $ trace_arg)
 
 (* {1 stats} *)
 

@@ -1,74 +1,20 @@
-(* Join-cost accounting, kept per backend.
+(* Join-cost accounting for Algorithm A.
 
-   A join "touches" an entry when it physically writes that component
-   into the result: the dense backend writes all n slots of the output
-   array, the sparse backend writes the support of the union, and the
-   tree backend writes only the entries its monotone copy actually
-   transfers (pruned subtrees and structurally shared results count 0).
-   Bench E14 compares these counters across backends on identical event
-   streams.
+   Every join of the dense clocks writes all [nthreads] slots of its
+   result, so [entry_updates] grows by [nthreads] per join.  The ledger
+   reads [entry_updates] around a replay; [--metrics] dumps both
+   counters as the [clock.joins] and [clock.entry_updates] gauges. *)
 
-   Each backend holds a [t] handle obtained once at module
-   initialization ([for_backend]), so the per-join cost is three field
-   writes — no lookup.  Snapshots are read from outside through
-   {!Registry} (per backend) or the aggregate accessors below (summed
-   over every backend, the pre-snapshot API kept for E14 and the test
-   suite). *)
+let n_joins = ref 0
+let n_entry_updates = ref 0
 
-type t = {
-  backend : string;
-  mutable joins : int;  (* max/absorb calls *)
-  mutable entry_updates : int;  (* component writes performed by joins *)
-  mutable fast_joins : int;  (* joins answered without touching any entry *)
-}
+let note_join ~entries =
+  incr n_joins;
+  n_entry_updates := !n_entry_updates + entries
 
-type snapshot = { joins : int; entry_updates : int; fast_joins : int }
+let joins () = !n_joins
+let entry_updates () = !n_entry_updates
 
-let registry : (string, t) Hashtbl.t = Hashtbl.create 8
-let registry_mutex = Mutex.create ()
-
-let for_backend backend =
-  Mutex.lock registry_mutex;
-  let c =
-    match Hashtbl.find_opt registry backend with
-    | Some c -> c
-    | None ->
-        let c = { backend; joins = 0; entry_updates = 0; fast_joins = 0 } in
-        Hashtbl.replace registry backend c;
-        c
-  in
-  Mutex.unlock registry_mutex;
-  c
-
-let note_join (c : t) ~entries =
-  c.joins <- c.joins + 1;
-  c.entry_updates <- c.entry_updates + entries;
-  if entries = 0 then c.fast_joins <- c.fast_joins + 1
-
-let snapshot (c : t) : snapshot =
-  { joins = c.joins; entry_updates = c.entry_updates; fast_joins = c.fast_joins }
-
-let find backend = Option.map snapshot (Hashtbl.find_opt registry backend)
-
-let reset_backend backend =
-  match Hashtbl.find_opt registry backend with
-  | None -> ()
-  | Some (c : t) ->
-      c.joins <- 0;
-      c.entry_updates <- 0;
-      c.fast_joins <- 0
-
-let all () =
-  Hashtbl.fold (fun name c acc -> (name, snapshot c) :: acc) registry []
-  |> List.sort compare
-
-let reset () = Hashtbl.iter (fun name _ -> reset_backend name) registry
-
-(* Aggregate accessors over every backend — the original single-global
-   API, still what E14 and the clock tests use between [reset] calls
-   around a single-backend replay. *)
-
-let sum f = Hashtbl.fold (fun _ c acc -> acc + f c) registry 0
-let joins () = sum (fun c -> c.joins)
-let entry_updates () = sum (fun c -> c.entry_updates)
-let fast_joins () = sum (fun c -> c.fast_joins)
+let reset () =
+  n_joins := 0;
+  n_entry_updates := 0

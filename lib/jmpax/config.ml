@@ -12,7 +12,6 @@ type t = {
   sched : Tml.Sched.t;
   fuel : int;
   channel : channel_model;
-  clock : Clock.Spec.backend;
   jobs : int;
   detect_races : bool;
   detect_deadlocks : bool;
@@ -32,7 +31,6 @@ let default () =
   { sched = Tml.Sched.round_robin ();
     fuel = 100_000;
     channel = In_order;
-    clock = Clock.Registry.default;
     jobs = 1;
     detect_races = true;
     detect_deadlocks = true;
@@ -50,7 +48,6 @@ let default () =
 let with_sched sched t = { t with sched }
 let with_seed seed t = { t with sched = Tml.Sched.random ~seed }
 let with_channel channel t = { t with channel }
-let with_clock clock t = { t with clock }
 
 let with_jobs jobs t =
   if jobs < 0 then invalid_arg "Config.with_jobs: jobs must be >= 0";
@@ -98,11 +95,3 @@ let recovery_to_string = function
   | Fail -> "fail"
   | Skip -> "skip"
   | Quarantine -> "quarantine"
-
-let with_clock_name name t =
-  match Clock.Registry.find name with
-  | Some clock -> { t with clock }
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Config.with_clock_name: unknown clock backend %S (known: %s)" name
-           (String.concat ", " (Clock.Registry.names ())))

@@ -17,7 +17,6 @@ type t = {
   sched : Tml.Sched.t;
   fuel : int;  (** observable-step budget for the monitored run *)
   channel : channel_model;  (** delivery model between program and observer *)
-  clock : Clock.Spec.backend;  (** Algorithm A clock backend *)
   jobs : int;
   (** domains for the analyzer's frontier engine: [1] = sequential
       (default), [0] = all cores *)
@@ -55,16 +54,14 @@ type t = {
 }
 
 val default : unit -> t
-(** Round-robin schedule, [fuel = 100_000], in-order delivery, dense
-    clocks, race, deadlock and atomicity detection on. *)
+(** Round-robin schedule, [fuel = 100_000], in-order delivery, race,
+    deadlock and atomicity detection on. *)
 
 val with_sched : Tml.Sched.t -> t -> t
 val with_seed : int -> t -> t
 (** Replaces the scheduler by [Tml.Sched.random ~seed]. *)
 
 val with_channel : channel_model -> t -> t
-
-val with_clock : Clock.Spec.backend -> t -> t
 
 val with_jobs : int -> t -> t
 (** @raise Invalid_argument when negative. *)
@@ -96,7 +93,3 @@ val recovery_of_string : string -> recovery option
 (** Accepts ["fail"], ["skip"], ["quarantine"]. *)
 
 val recovery_to_string : recovery -> string
-
-val with_clock_name : string -> t -> t
-(** Looks the backend up in {!Clock.Registry}.
-    @raise Invalid_argument on an unknown name. *)

@@ -20,21 +20,13 @@ type output = {
 let telemetry_sink dest =
   if dest = "-" then (stdout, false) else (open_out dest, true)
 
-(* The clock backends account joins into [Clock.Stats] unconditionally
-   (three field writes per join); surfacing them as gauges at dump time
+(* Algorithm A counts its joins into [Clock.Stats] unconditionally
+   (two increments per join); surfacing them as gauges at dump time
    folds them into the one metrics report. *)
 let inject_clock_stats () =
-  List.iter
-    (fun (name, (s : Clock.Stats.snapshot)) ->
-      let set suffix v =
-        Telemetry.Metrics.set
-          (Telemetry.Metrics.gauge (Printf.sprintf "clock.%s.%s" name suffix))
-          v
-      in
-      set "joins" s.joins;
-      set "entry_updates" s.entry_updates;
-      set "fast_joins" s.fast_joins)
-    (Clock.Registry.all_stats ())
+  let set name v = Telemetry.Metrics.set (Telemetry.Metrics.gauge name) v in
+  set "clock.joins" (Clock.Stats.joins ());
+  set "clock.entry_updates" (Clock.Stats.entry_updates ())
 
 let dump_metrics dest =
   inject_clock_stats ();
@@ -60,7 +52,7 @@ let with_telemetry (config : Config.t) f =
       in
       if metrics <> None then begin
         Telemetry.Metrics.reset ();
-        Clock.Registry.reset_stats ();
+        Clock.Stats.reset ();
         Telemetry.Metrics.enable_deep ()
       end;
       Fun.protect
@@ -88,7 +80,7 @@ let check ?(config = Config.default ()) ~spec program =
   let image = Tml.Instrument.instrument_program program in
   let relevance = Mvc.Relevance.writes_of_vars relevant_vars in
   let run =
-    Tml.Vm.run_image ~clock:config.Config.clock ~fuel:config.Config.fuel ~relevance
+    Tml.Vm.run_image ~fuel:config.Config.fuel ~relevance
       ~sched:config.Config.sched image
   in
   (match run.Tml.Vm.outcome with

@@ -42,8 +42,8 @@ val with_telemetry : Config.t -> (unit -> 'a) -> 'a
     [config.trace].  When both are [None] this is exactly [f ()].
     Otherwise: metric recording (and clock-stats counters) is reset and
     enabled for the duration when [metrics] is set, and the registry —
-    including per-backend {!Clock.Stats} as [clock.<backend>.*] gauges —
-    is dumped to the destination afterwards ([.json] selects the JSON
+    including {!Clock.Stats} as the [clock.joins] and
+    [clock.entry_updates] gauges — is dumped to the destination afterwards ([.json] selects the JSON
     exporter, ["-"] stdout); span tracing is written to [trace]
     likewise.  Dump and teardown also happen when the thunk raises. *)
 

@@ -4,48 +4,35 @@ module M = Telemetry.Metrics
 let m_events = M.counter "mvc.events"
 let m_messages = M.counter "mvc.messages"
 
-(* The algorithm state is erased behind closures so one emitter type
-   serves every clock backend; messages always carry dense clocks, so
-   the wire format is backend-independent. *)
 type t = {
   builder : Exec.builder;
-  run : Types.tid -> Event.kind -> Vclock.t option;
-  check : unit -> bool;
-  backend : string;
+  algo : Algorithm.t;
   sink : Message.t -> unit;
   per_tid : M.counter array;  (* messages emitted per thread *)
   mutable rev_messages : Message.t list;
   mutable count : int;
 }
 
-let create ?(clock = Clock.Registry.default) ~nthreads ~init ~relevance
-    ?(sink = fun _ -> ()) () =
-  let module C = (val clock : Clock.Spec.CLOCK) in
-  let module A = Algorithm.Make (C) in
-  let algo = A.create ~nthreads ~relevance in
+let create ~nthreads ~init ~relevance ?(sink = fun _ -> ()) () =
   { builder = Exec.builder ~nthreads ~init;
-    run =
-      (fun tid kind ->
-        (* Algorithm A step: the per-event span is gated here so the
-           closure under [with_] only exists when tracing is on. *)
-        let r =
-          if Telemetry.Span.enabled () then
-            Telemetry.Span.with_ ~name:"mvc.algorithm_a" (fun () ->
-                A.process algo tid kind)
-          else A.process algo tid kind
-        in
-        Option.map (C.to_vclock ~dim:nthreads) r);
-    check = (fun () -> A.invariant algo);
-    backend = C.name;
+    algo = Algorithm.create ~nthreads ~relevance;
     sink;
     per_tid =
       Array.init nthreads (fun i -> M.counter (Printf.sprintf "mvc.messages.t%d" i));
     rev_messages = [];
     count = 0 }
 
+(* Algorithm A step: the per-event span is gated here so its closure
+   only exists when tracing is on. *)
+let process t tid kind =
+  if Telemetry.Span.enabled () then
+    Telemetry.Span.with_ ~name:"mvc.algorithm_a" (fun () ->
+        Algorithm.process t.algo tid kind)
+  else Algorithm.process t.algo tid kind
+
 let dispatch t (e : Event.t) =
   if M.enabled () then M.incr m_events;
-  match t.run e.tid e.kind with
+  match process t e.tid e.kind with
   | None -> ()
   | Some mvc ->
       let var, value =
@@ -71,7 +58,6 @@ let dispatch t (e : Event.t) =
 let on_internal t tid = dispatch t (Exec.add_internal t.builder tid)
 let on_read t tid x v = dispatch t (Exec.add_read t.builder tid x v)
 let on_write t tid x v = dispatch t (Exec.add_write t.builder tid x v)
-let invariant t = t.check ()
-let backend_name t = t.backend
+let invariant t = Algorithm.invariant t.algo
 let message_count t = t.count
 let finish t = (Exec.freeze t.builder, List.rev t.rev_messages)

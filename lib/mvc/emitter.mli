@@ -5,18 +5,13 @@
     flat observed execution (for oracles and for the JPaX baseline),
     drives Algorithm A, and forwards messages [⟨e, i, V⟩] for relevant
     events to the observer-side sink, exactly as JMPaX's instrumented
-    bytecode writes to its socket (paper, Section 4.1).
-
-    The algorithm may run over any clock backend ({!Clock.Registry});
-    emitted messages always carry dense clocks, so sinks, the wire
-    format and the observer are unaffected by the choice. *)
+    bytecode writes to its socket (paper, Section 4.1). *)
 
 open Trace
 
 type t
 
 val create :
-  ?clock:Clock.Spec.backend ->
   nthreads:int ->
   init:(Types.var * Types.value) list ->
   relevance:Relevance.t ->
@@ -25,8 +20,7 @@ val create :
   t
 (** [sink] is invoked synchronously for every emitted message; defaults
     to a no-op (messages are still accumulated and returned by
-    {!finish}). [clock] selects the Algorithm A backend (default:
-    dense). *)
+    {!finish}). *)
 
 val on_internal : t -> Types.tid -> unit
 val on_read : t -> Types.tid -> Types.var -> Types.value -> unit
@@ -35,9 +29,6 @@ val on_write : t -> Types.tid -> Types.var -> Types.value -> unit
 val invariant : t -> bool
 (** The underlying algorithm's internal-consistency check (useful for
     assertions in tests). *)
-
-val backend_name : t -> string
-(** Name of the clock backend driving this emitter. *)
 
 val message_count : t -> int
 

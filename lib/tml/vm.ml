@@ -122,7 +122,7 @@ and exec_silent t tid ts instr =
       ts.pc <- List.nth targets c
   | _ -> assert false
 
-let create ?clock ?(relevance = Mvc.Relevance.all_writes) ?sink ~sched image =
+let create ?(relevance = Mvc.Relevance.all_writes) ?sink ~sched image =
   (match Bytecode.validate image with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Vm.create: invalid image: " ^ msg));
@@ -131,7 +131,7 @@ let create ?clock ?(relevance = Mvc.Relevance.all_writes) ?sink ~sched image =
   let emitter =
     if image.instrumented then
       Some
-        (Mvc.Emitter.create ?clock ~nthreads:(nthreads image) ~init:image.shared_init
+        (Mvc.Emitter.create ~nthreads:(nthreads image) ~init:image.shared_init
            ~relevance ?sink ())
     else None
   in
@@ -328,11 +328,11 @@ let run ?(fuel = 100_000) t =
   else loop ();
   result t
 
-let run_image ?clock ?fuel ?relevance ?sink ~sched image =
-  run ?fuel (create ?clock ?relevance ?sink ~sched image)
+let run_image ?fuel ?relevance ?sink ~sched image =
+  run ?fuel (create ?relevance ?sink ~sched image)
 
-let run_program ?clock ?fuel ?relevance ~sched program =
-  run_image ?clock ?fuel ?relevance ~sched (Instrument.instrument_program program)
+let run_program ?fuel ?relevance ~sched program =
+  run_image ?fuel ?relevance ~sched (Instrument.instrument_program program)
 
 let pp_outcome ppf = function
   | Completed -> Format.pp_print_string ppf "completed"

@@ -47,15 +47,13 @@ val apply_binop : Types.tid -> Ast.binop -> int -> int -> int
     @raise Vm_error on division or modulo by zero. *)
 
 val create :
-  ?clock:Clock.Spec.backend ->
   ?relevance:Mvc.Relevance.t ->
   ?sink:(Message.t -> unit) ->
   sched:Sched.t ->
   Bytecode.image ->
   t
-(** [relevance] defaults to {!Mvc.Relevance.all_writes}; it (and [sink]
-    and [clock], the Algorithm A clock backend, default dense) matter
-    only for instrumented images.
+(** [relevance] defaults to {!Mvc.Relevance.all_writes}; it (and [sink])
+    matter only for instrumented images.
     @raise Invalid_argument if the image fails {!Bytecode.validate}. *)
 
 val runnable : t -> Types.tid list
@@ -83,7 +81,6 @@ val run : ?fuel:int -> t -> run_result
     observable steps (default [100_000]) have been taken. *)
 
 val run_image :
-  ?clock:Clock.Spec.backend ->
   ?fuel:int ->
   ?relevance:Mvc.Relevance.t ->
   ?sink:(Message.t -> unit) ->
@@ -93,7 +90,6 @@ val run_image :
 (** [create] followed by [run]. *)
 
 val run_program :
-  ?clock:Clock.Spec.backend ->
   ?fuel:int ->
   ?relevance:Mvc.Relevance.t ->
   sched:Sched.t ->

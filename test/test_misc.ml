@@ -226,7 +226,15 @@ let test_dynamic_threads_seen_monotone () =
   ignore (Mvc.Dynamic.process algo 5 (Event.Write ("x", 1)));
   Alcotest.(check (list int)) "implicit root" [ 5 ] (Mvc.Dynamic.threads_seen algo);
   Alcotest.(check int) "relevant count" 1 (Mvc.Dynamic.relevant_count algo 5);
-  Alcotest.(check int) "unknown thread count" 0 (Mvc.Dynamic.relevant_count algo 9)
+  Alcotest.(check int) "unknown thread count" 0 (Mvc.Dynamic.relevant_count algo 9);
+  Alcotest.check_raises "join rejects a negative parent"
+    (Invalid_argument "Dynamic.join: negative thread id") (fun () ->
+      Mvc.Dynamic.join algo ~parent:(-1) ~child:5);
+  Alcotest.check_raises "join rejects a negative child"
+    (Invalid_argument "Dynamic.join: negative thread id") (fun () ->
+      Mvc.Dynamic.join algo ~parent:5 ~child:(-1));
+  Alcotest.(check (list int)) "rejected joins leave no trace" [ 5 ]
+    (Mvc.Dynamic.threads_seen algo)
 
 let () =
   Alcotest.run "misc"

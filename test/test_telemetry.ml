@@ -479,6 +479,37 @@ let test_instrumentation_off_is_identical () =
   let again = analyzer_output () in
   Alcotest.(check string) "and identical after disabling again" baseline again
 
+(* {1 Clock counters in the --metrics dump} *)
+
+let test_clock_gauges () =
+  let program = Tml.Programs.landing_bounded in
+  let nthreads = List.length program.Tml.Ast.threads in
+  let path = Filename.temp_file "jmpax_metrics" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let config = Jmpax.Config.(default () |> with_metrics (Some path)) in
+      Jmpax.Pipeline.with_telemetry config (fun () ->
+          ignore (Jmpax.Pipeline.check ~config ~spec:Pastltl.Formula.landing_spec program));
+      let text = In_channel.with_open_text path In_channel.input_all in
+      let gauge name =
+        List.find_map
+          (fun l ->
+            Option.join
+              (Scanf.sscanf_opt l "gauge %s = %d" (fun n v -> if n = name then Some v else None)))
+          (String.split_on_char '\n' text)
+      in
+      (match (gauge "clock.joins", gauge "clock.entry_updates") with
+      | Some joins, Some updates ->
+          Alcotest.(check bool) "joins counted" true (joins > 0);
+          Alcotest.(check int) "entry_updates = nthreads * joins" (nthreads * joins) updates
+      | _ -> Alcotest.fail "clock.joins / clock.entry_updates missing from the dump");
+      List.iter
+        (fun backend ->
+          Alcotest.(check bool) ("no clock." ^ backend ^ " gauge") false
+            (contains text ("clock." ^ backend ^ ".")))
+        [ "dense"; "sparse"; "tree" ])
+
 let () =
   Alcotest.run "telemetry"
     [ ( "registry",
@@ -508,5 +539,6 @@ let () =
           Alcotest.test_case "summary from lines" `Quick test_summary_of_lines ] );
       ( "differential",
         [ Alcotest.test_case "off is byte-identical" `Quick
-            test_instrumentation_off_is_identical ] )
+            test_instrumentation_off_is_identical ] );
+      ("clock", [ Alcotest.test_case "gauges name no backend" `Quick test_clock_gauges ])
     ]
