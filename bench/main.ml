@@ -564,7 +564,7 @@ let e13 () =
     "shape: violations are predicted from a serial (never-interleaved) run, and\n\
      disappear when the remote access takes the same lock.\n"
 
-(* {1 E15: frontier engine — interned packed cuts + domain-parallel levels} *)
+(* {1 E15: frontier engine — interned packed cuts} *)
 
 (* The pre-engine analyzer, kept verbatim: one frontier Hashtbl keyed by
    the cut as an [int list], with [Array.to_list]/[Array.of_list]/
@@ -655,23 +655,14 @@ let alloc_words f =
   (r, words)
 
 let e15 ?(smoke = false) () =
-  section "E15" "Frontier engine: interned packed cuts + domain-parallel levels";
-  let cores = Domain.recommended_domain_count () in
-  record ~experiment:"E15" ~metric:"recommended_domain_count" (float_of_int cores);
-  Printf.printf "machine: %d core(s) available to this process%s\n\n" cores
-    (if cores = 1 then
-       " - domain parallelism cannot beat sequential wall time here; the jobs\n\
-        sweep below measures overhead only, and the differential tests carry\n\
-        the correctness claim"
-     else "");
+  section "E15" "Frontier engine: interned packed cuts";
   let workloads =
     if smoke then [ ("grid-4x2", 4, 2) ]
     else [ ("grid-6x2", 6, 2); ("grid-8x2", 8, 2); ("grid-6x3", 6, 3) ]
   in
-  let jobs_sweep = if smoke then [ 1; 2 ] else [ 1; 2; 4; 8 ] in
   let quota = if smoke then 0.05 else 0.5 in
   Printf.printf "%-10s %10s | %14s %14s %6s | %s\n" "workload" "cuts" "seed words"
-    "interned words" "ratio" "ns per sweep by jobs";
+    "interned words" "ratio" "ns per sweep";
   List.iter
     (fun (name, threads, writes) ->
       let program = Tml.Programs.independent ~threads ~writes in
@@ -683,12 +674,12 @@ let e15 ?(smoke = false) () =
       let spec = Pastltl.Fparser.parse "always v0 <= 9" in
       let key metric = Printf.sprintf "%s %s" name metric in
       (* Allocation: seed list-keyed frontier vs interned-cut engine,
-         both sequential, same workload. *)
+         same workload. *)
       let (sn, ss, sc, sl), seed_words =
         alloc_words (fun () -> Seed_analyzer.analyze ~spec comp)
       in
       let online, interned_words =
-        alloc_words (fun () -> Predict.Online.of_computation ~jobs:1 ~spec comp)
+        alloc_words (fun () -> Predict.Online.of_computation ~spec comp)
       in
       assert (List.length (Predict.Online.violations online) = sn);
       assert ((Predict.Online.gc_stats online).Predict.Online.monitor_steps = ss);
@@ -697,35 +688,20 @@ let e15 ?(smoke = false) () =
       record ~experiment:"E15" ~metric:(key "cuts") (float_of_int sc);
       record ~experiment:"E15" ~metric:(key "alloc_words_seed") seed_words;
       record ~experiment:"E15" ~metric:(key "alloc_words_interned") interned_words;
-      (* Wall time across the jobs sweep. *)
-      let times =
-        List.map
-          (fun jobs ->
-            let bname = Printf.sprintf "%s j%d" name jobs in
-            let run () = ignore (Predict.Online.of_computation ~jobs ~spec comp) in
-            match measure ~quota [ Test.make ~name:bname (Staged.stage run) ] with
-            | [ (_, ns) ] ->
-                record ~experiment:"E15" ~metric:(key (Printf.sprintf "ns_jobs%d" jobs)) ns;
-                (jobs, ns)
-            | _ -> assert false)
-          jobs_sweep
+      let run () = ignore (Predict.Online.of_computation ~spec comp) in
+      let ns =
+        match measure ~quota [ Test.make ~name (Staged.stage run) ] with
+        | [ (_, ns) ] -> ns
+        | _ -> assert false
       in
-      (match (List.assoc_opt 1 times, List.assoc_opt 4 times) with
-      | Some t1, Some t4 ->
-          record ~experiment:"E15" ~metric:(key "speedup_jobs4") (t1 /. t4)
-      | _ -> ());
-      Printf.printf "%-10s %10d | %14.3e %14.3e %5.2fx |" name sc seed_words
-        interned_words (seed_words /. interned_words);
-      List.iter (fun (jobs, ns) -> Printf.printf "  j%d %s" jobs (pp_ns ns)) times;
-      Printf.printf "\n%!")
+      record ~experiment:"E15" ~metric:(key "ns_sweep") ns;
+      Printf.printf "%-10s %10d | %14.3e %14.3e %5.2fx | %s\n%!" name sc seed_words
+        interned_words (seed_words /. interned_words) (pp_ns ns))
     workloads;
   Printf.printf
     "\nshape: the interned-cut arena allocates a fraction of the seed's list-keyed\n\
-     frontier on every workload, and jobs=N results are bit-identical to jobs=1\n\
-     (asserted above at bench scale and by the differential test suites).  The\n\
-     jobs sweep is printed as measured, with no speedup claimed: the pool spawns\n\
-     its domains on every level, and on 2 cores jobs=2 was slower than jobs=1 on\n\
-     every grid.\n"
+     frontier on every workload, with the same violations, monitor steps, cuts\n\
+     and levels (asserted above).\n"
 
 (* {1 E16: telemetry overhead} *)
 
@@ -751,7 +727,7 @@ let e16 ?(smoke = false) () =
     in
     let spec = Pastltl.Fparser.parse "always v0 <= 9" in
     ( Printf.sprintf "grid-%dx%d" threads writes,
-      fun () -> ignore (Predict.Online.of_computation ~jobs:1 ~spec comp) )
+      fun () -> ignore (Predict.Online.of_computation ~spec comp) )
   in
   let workloads =
     if smoke then

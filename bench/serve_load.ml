@@ -308,7 +308,6 @@ let spawn_daemon ?control ?(telemetry = false)
           spec_fp = Jmpax.Checkpoint.fingerprint spec;
           engines = Predict.Engine.default_kinds;
           max_buffered = None;
-          jobs = 1;
           recovery = Jmpax.Config.Fail;
           checkpoint_dir = None;
           checkpoint_every = 1;

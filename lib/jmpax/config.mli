@@ -17,12 +17,12 @@ type t = {
   sched : Tml.Sched.t;
   fuel : int;  (** observable-step budget for the monitored run *)
   channel : channel_model;  (** delivery model between program and observer *)
-  jobs : int;
-  (** domains for the analyzer's frontier engine: [1] = sequential
-      (default), [0] = all cores *)
   detect_races : bool;
   detect_deadlocks : bool;
   detect_atomicity : bool;
+  (** the offline race, deadlock and atomicity reports of
+      {!Pipeline.check}; on by default, off for [jmpax monitor], which
+      prints none of them *)
   metrics : string option;
   (** where {!Pipeline.with_telemetry} dumps the metrics registry after
       the run: a path ([.json] selects the JSON exporter) or ["-"] for
@@ -31,31 +31,19 @@ type t = {
   (** Chrome-trace span stream destination (path or ["-"]); [None]
       (default) disables tracing *)
   max_buffered : int option;
-  (** bound on out-of-order buffered messages in the ingestion layers
-      ({!Predict.Online}, [jmpax stream]); [None] (default) = unbounded *)
-  on_decode_error : recovery;
-  (** streaming decode-error policy; irrelevant to in-process runs *)
-  checkpoint : (string * int) option;
-  (** crash-safety for [jmpax stream]: write a {!Checkpoint} to this
-      path every N lattice levels; [None] (default) = no checkpoints *)
-  reconnect : Transport.backoff option;
-  (** reconnection policy for socket transports; [None] (default) =
-      a dropped connection ends the stream *)
+  (** bound on out-of-order buffered messages in {!Pipeline.check}'s
+      lattice analysis ({!Predict.Online}); [None] (default) = unbounded *)
   engines : Predict.Engine.kind list;
-  (** prediction engines the observer side runs ([--engine]); default
+  (** prediction engines {!Pipeline.check} runs ([--engine]); default
       [[Lattice]], the historical behaviour *)
-  budget : Budget.limits;
-  (** resource budgets on live analysis state ([--max-frontier-cuts],
-      [--max-causal-buffered], [--memory-budget]); default
-      {!Budget.unlimited} *)
-  on_overload : Budget.policy;
-  (** what a crossed budget does ([--on-overload]); default
-      {!Budget.Fail}, today's stop-the-stream behaviour *)
 }
 
 val default : unit -> t
 (** Round-robin schedule, [fuel = 100_000], in-order delivery, race,
-    deadlock and atomicity detection on. *)
+    deadlock and atomicity detection on, telemetry off, no buffer
+    bound, the lattice engine alone.  [jmpax stream] and [jmpax serve]
+    take their decode-error, checkpoint, reconnect and budget settings
+    from their own options, not from this record. *)
 
 val with_sched : Tml.Sched.t -> t -> t
 val with_seed : int -> t -> t
@@ -63,31 +51,15 @@ val with_seed : int -> t -> t
 
 val with_channel : channel_model -> t -> t
 
-val with_jobs : int -> t -> t
-(** @raise Invalid_argument when negative. *)
-
 val with_metrics : string option -> t -> t
 val with_trace : string option -> t -> t
 
 val with_max_buffered : int option -> t -> t
 (** @raise Invalid_argument when negative. *)
 
-val with_on_decode_error : recovery -> t -> t
-
-val with_checkpoint : (string * int) option -> t -> t
-(** @raise Invalid_argument when the level interval is below 1. *)
-
-val with_reconnect : Transport.backoff option -> t -> t
-
-val with_engines : Predict.Engine.kind list -> t -> t
-(** @raise Invalid_argument on an empty selection. *)
-
 val with_engine_names : string -> t -> t
 (** Parses [--engine] syntax (comma-separated, duplicates dropped).
     @raise Invalid_argument on an unknown engine name. *)
-
-val with_budget : Budget.limits -> t -> t
-val with_on_overload : Budget.policy -> t -> t
 
 val recovery_of_string : string -> recovery option
 (** Accepts ["fail"], ["skip"], ["quarantine"]. *)

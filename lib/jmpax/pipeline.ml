@@ -101,8 +101,7 @@ let check ?(config = Config.default ()) ~spec program =
     | Error msg -> invalid_arg ("Pipeline.check: observer could not reassemble: " ^ msg)
   in
   let predictive =
-    Predict.Online.create ~jobs:config.Config.jobs ?max_buffered:config.Config.max_buffered
-      ~nthreads ~init ~spec ()
+    Predict.Online.create ?max_buffered:config.Config.max_buffered ~nthreads ~init ~spec ()
   in
   Predict.Online.feed_all predictive delivered;
   Predict.Online.finish predictive;

@@ -24,8 +24,7 @@ let write_clock t x = var_clock t.vw x
 
 let spawn t ~parent ~child =
   if parent < 0 || child < 0 then invalid_arg "Dynamic.spawn: negative thread id";
-  if Hashtbl.mem t.vi child then
-    invalid_arg "Dynamic.spawn: child thread already exists";
+  if List.mem child t.seen then invalid_arg "Dynamic.spawn: child thread already exists";
   note_thread t parent;
   note_thread t child;
   (* The child inherits the parent's knowledge: every prior parent event

@@ -20,9 +20,11 @@ val create : relevance:Relevance.t -> t
 (** No threads yet; any nonnegative id may appear. *)
 
 val spawn : t -> parent:Types.tid -> child:Types.tid -> unit
-(** @raise Invalid_argument on a negative thread id, or if the child has
-    already produced events or been spawned. The root threads of a system need no spawn — using a
-    fresh id implicitly creates a thread with an empty clock. *)
+(** @raise Invalid_argument on a negative thread id, or if the child is
+    already in {!threads_seen}: it has produced an event (relevant or
+    not), spawned or been spawned, or taken part in a join.  The root
+    threads of a system need no spawn — using a fresh id implicitly
+    creates a thread with an empty clock. *)
 
 val join : t -> parent:Types.tid -> child:Types.tid -> unit
 (** @raise Invalid_argument on a negative thread id. *)
@@ -36,6 +38,7 @@ val access_clock : t -> Types.var -> Dvclock.t
 val write_clock : t -> Types.var -> Dvclock.t
 
 val threads_seen : t -> Types.tid list
-(** Every id that has produced an event or been spawned, ascending. *)
+(** Every id that has produced an event (relevant or not), spawned or
+    been spawned, or taken part in a join, ascending. *)
 
 val relevant_count : t -> Types.tid -> int

@@ -33,7 +33,7 @@ let max_violations = 1000
 
 (* The cut determines the global state, so two entries meeting at one
    cut carry equal states by construction; only the monitor-state sets
-   need unioning (associative, hence deterministic under sharding). *)
+   need unioning. *)
 module F = Observer.Frontier.Make (struct
   type t = entry
 
@@ -51,8 +51,6 @@ type t = {
   nthreads : int;
   monitor : Pastltl.Monitor.compiled;
   spec : Pastltl.Formula.t;
-  pool : Observer.Frontier.Pool.t;
-  par_threshold : int option;
   max_buffered : int option;  (* bound on out-of-order buffered messages *)
   (* Message store, per thread [i]: the window [gc_floor.(i)+1 ..
      prefix.(i)] lives in the power-of-two ring [window.(i)] at index
@@ -143,7 +141,7 @@ let record_violations t =
           entry.msets)
       t.frontier
 
-let create ?(jobs = 1) ?par_threshold ?max_buffered ~nthreads ~init ~spec () =
+let create ?max_buffered ~nthreads ~init ~spec () =
   if nthreads <= 0 then invalid_arg "Online.create: nthreads must be positive";
   (match max_buffered with
   | Some k when k < 0 -> invalid_arg "Online.create: max_buffered must be >= 0"
@@ -160,8 +158,6 @@ let create ?(jobs = 1) ?par_threshold ?max_buffered ~nthreads ~init ~spec () =
     { nthreads;
       monitor;
       spec;
-      pool = Observer.Frontier.Pool.create ~jobs;
-      par_threshold;
       max_buffered;
       window = Array.init nthreads (fun _ -> Array.make min_window absent);
       ahead = Array.make nthreads Imap.empty;
@@ -205,12 +201,12 @@ let can_advance t =
   done;
   !ok
 
+let pool = Observer.Frontier.Pool.create ~jobs:1
+
 let rec advance_one_level_body t =
-  (* The store is only read during the expansion (feeds never overlap a
-     pump), so concurrent shard lookups are safe. *)
-  let steps = Array.make (Observer.Frontier.Pool.jobs t.pool) 0 in
+  let steps = ref 0 in
   let next =
-    F.expand t.pool ?par_threshold:t.par_threshold
+    F.expand pool
       ~moves:(fun ~shard:_ cut ->
         let out = ref [] in
         for i = t.nthreads - 1 downto 0 do
@@ -227,21 +223,20 @@ let rec advance_one_level_body t =
           end
         done;
         !out)
-      ~transition:(fun ~shard entry ~tid:_ m ->
+      ~transition:(fun ~shard:_ entry ~tid:_ m ->
         let state' = Observer.Computation.apply entry.state m in
         let stepped =
           Mset.fold
             (fun ms acc ->
-              steps.(shard) <- steps.(shard) + 1;
+              incr steps;
               Mset.add (Pastltl.Monitor.step t.monitor ms state') acc)
             entry.msets Mset.empty
         in
         { state = state'; msets = stepped })
       t.frontier
   in
-  let stepped = Array.fold_left ( + ) 0 steps in
-  t.monitor_steps <- t.monitor_steps + stepped;
-  if M.deep_enabled () then M.add m_monitor_steps stepped;
+  t.monitor_steps <- t.monitor_steps + !steps;
+  if M.deep_enabled () then M.add m_monitor_steps !steps;
   if F.size next = 0 then t.done_ <- true
   else begin
     t.retired_cuts <- t.retired_cuts + F.size t.frontier;
@@ -423,7 +418,7 @@ let snapshot t =
     snap_peak_frontier_entries = t.peak_frontier_entries;
     snap_monitor_steps = t.monitor_steps }
 
-let restore ?(jobs = 1) ?par_threshold ?max_buffered ~spec s =
+let restore ?max_buffered ~spec s =
   let n = s.snap_nthreads in
   if n <= 0 then invalid_arg "Online.restore: nthreads must be positive";
   let check_width what a =
@@ -492,8 +487,6 @@ let restore ?(jobs = 1) ?par_threshold ?max_buffered ~spec s =
   { nthreads = n;
     monitor;
     spec;
-    pool = Observer.Frontier.Pool.create ~jobs;
-    par_threshold;
     max_buffered;
     window;
     ahead;
@@ -552,9 +545,9 @@ let gc_stats t =
     peak_frontier_entries = t.peak_frontier_entries;
     monitor_steps = t.monitor_steps }
 
-let of_computation ?jobs ~spec comp =
+let of_computation ~spec comp =
   let t =
-    create ?jobs ~nthreads:(Observer.Computation.nthreads comp)
+    create ~nthreads:(Observer.Computation.nthreads comp)
       ~init:(Pastltl.State.to_list (Observer.Computation.init_state comp))
       ~spec ()
   in

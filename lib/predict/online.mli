@@ -63,8 +63,6 @@ exception Backpressure of { buffered : int; limit : int }
     exceed the [max_buffered] bound. *)
 
 val create :
-  ?jobs:int ->
-  ?par_threshold:int ->
   ?max_buffered:int ->
   nthreads:int ->
   init:(Types.var * Types.value) list ->
@@ -74,13 +72,8 @@ val create :
 (** The frontier starts as the bottom cut (level 0), already checked
     against the specification.
 
-    The frontier runs on the {!Observer.Frontier} engine; [jobs > 1]
-    expands each level across a domain pool ([jobs = 0] means all
-    cores; default [1] = sequential) with verdicts, violations and
-    {!gc_stats} identical for every jobs count.  [par_threshold] is the
-    minimum frontier width before a level is sharded (default
-    {!Observer.Frontier.default_par_threshold}; [0] forces sharding — a
-    testing knob).
+    The frontier runs on the {!Observer.Frontier} engine, one
+    sequential pass per level.
 
     [max_buffered] bounds the messages buffered {e out of order} (past
     their thread's contiguous prefix): one more makes {!feed} raise
@@ -105,7 +98,7 @@ val finish : t -> unit
     @raise Invalid_argument if buffered messages are still missing a
     predecessor (a lost message). *)
 
-val of_computation : ?jobs:int -> spec:Pastltl.Formula.t -> Observer.Computation.t -> t
+val of_computation : spec:Pastltl.Formula.t -> Observer.Computation.t -> t
 (** The finished analyzer of a whole computation: its messages fed in
     order, then {!finish}. *)
 
@@ -199,14 +192,12 @@ val snapshot : t -> snapshot
 (** Must be taken at a quiescent point — not from within a [feed]. *)
 
 val restore :
-  ?jobs:int ->
-  ?par_threshold:int ->
   ?max_buffered:int ->
   spec:Pastltl.Formula.t ->
   snapshot ->
   t
-(** The monitor is recompiled from [spec]; runtime knobs ([jobs],
-    [max_buffered], ...) are supplied fresh, so a run can resume with a
-    different parallelism than it was checkpointed under.
+(** The monitor is recompiled from [spec]; [max_buffered] is supplied
+    fresh, so a run can resume under a different bound than it was
+    checkpointed under.
     @raise Invalid_argument when the snapshot is internally inconsistent
     or its monitor states do not fit [spec] (wrong specification). *)

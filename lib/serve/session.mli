@@ -51,7 +51,6 @@ type config = {
   max_buffered : int option;
       (** per-session out-of-order bound; exceeding it disconnects
           {e only} the offending session *)
-  jobs : int;  (** frontier domains per session; [1] for multi-tenancy *)
   recovery : Jmpax.Config.recovery;
       (** [Fail] closes the session on the first malformed frame;
           [Skip]/[Quarantine] resynchronize and count the loss *)

@@ -10,7 +10,6 @@ let next_id = Atomic.make 1
 let stack_key : int list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
 
 let now () = Unix.gettimeofday ()
-let now_us () = now () *. 1e6
 
 let enable oc =
   if enabled () then invalid_arg "Telemetry.Span.enable: already tracing";

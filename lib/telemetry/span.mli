@@ -26,10 +26,6 @@
 
 val enabled : unit -> bool
 
-val now_us : unit -> float
-(** Wall-clock microseconds ([Unix.gettimeofday]); the shared timebase
-    for busy-time accounting outside spans. *)
-
 val enable : out_channel -> unit
 (** Start tracing into the channel (the caller closes it after
     {!disable}).  Writes the opening ["["]. *)

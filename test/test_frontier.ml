@@ -1,6 +1,6 @@
 (* Tests for the frontier engine: the packed interned-cut table
-   (differentially against a plain (int list, int) Hashtbl), the domain
-   pool, and the deterministic parallel level expansion. *)
+   (differentially against a plain (int list, int) Hashtbl) and the
+   level expansion. *)
 
 module Cutset = Observer.Frontier.Cutset
 module Pool = Observer.Frontier.Pool
@@ -36,8 +36,8 @@ let test_cutset_succ_and_from () =
   let d = Cutset.intern_succ dst ~src ~src_id:s ~tid:1 in
   Alcotest.(check (array int)) "successor bumps tid" [| 3; 2 |] (Cutset.to_array dst d);
   Alcotest.(check int) "succ dedups" d (Cutset.intern_succ dst ~src ~src_id:s ~tid:1);
-  let d' = Cutset.intern_from dst ~src ~src_id:s in
-  Alcotest.(check (array int)) "intern_from copies" [| 3; 1 |] (Cutset.to_array dst d')
+  Alcotest.(check (array int)) "source cut unchanged" [| 3; 1 |] (Cutset.to_array src s);
+  Alcotest.(check int) "source count unchanged" 1 (Cutset.count src)
 
 let test_cutset_growth () =
   (* Push the table through several arena and slot growths. *)
@@ -94,38 +94,19 @@ let qcheck_cutset_vs_hashtbl =
 
 (* {1 Pool} *)
 
-let test_pool_jobs_resolution () =
-  Alcotest.(check int) "jobs=1" 1 (Pool.jobs (Pool.create ~jobs:1));
-  Alcotest.(check int) "jobs=5" 5 (Pool.jobs (Pool.create ~jobs:5));
-  Alcotest.(check bool) "jobs=0 resolves to the machine" true
-    (Pool.jobs (Pool.create ~jobs:0) >= 1);
-  match Pool.create ~jobs:(-1) with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "negative jobs accepted"
+(* The pool is a placeholder: only [jobs = 1] is accepted. *)
+let test_pool_sequential_only () =
+  ignore (Pool.create ~jobs:1);
+  List.iter
+    (fun jobs ->
+      match Pool.create ~jobs with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.fail (Printf.sprintf "jobs=%d accepted" jobs))
+    [ 0; 2; -1 ]
 
-let test_pool_runs_every_shard () =
-  let pool = Pool.create ~jobs:4 in
-  let hits = Array.make 4 0 in
-  Pool.run pool ~nshards:4 (fun s -> hits.(s) <- hits.(s) + 1);
-  Alcotest.(check (array int)) "each shard exactly once" [| 1; 1; 1; 1 |] hits;
-  (* nshards above jobs is clamped. *)
-  let hits = Array.make 8 0 in
-  Pool.run pool ~nshards:8 (fun s -> hits.(s) <- hits.(s) + 1);
-  Alcotest.(check (array int)) "clamped to jobs" [| 1; 1; 1; 1; 0; 0; 0; 0 |] hits
+(* {1 Engine on a synthetic lattice} *)
 
-exception Boom
-
-let test_pool_propagates_exceptions () =
-  let pool = Pool.create ~jobs:3 in
-  (* A worker-shard failure must reach the caller after all joins. *)
-  match Pool.run pool ~nshards:3 (fun s -> if s = 2 then raise Boom) with
-  | exception Boom -> ()
-  | () -> Alcotest.fail "worker exception swallowed"
-
-(* {1 Engine determinism on a synthetic lattice} *)
-
-(* Payload: sorted list of source tags; merge is list merge —
-   associative, so parallel == sequential must hold exactly. *)
+(* Payload: sorted list of source tags; merge is list merge. *)
 module E = Observer.Frontier.Make (struct
   type t = int list
 
@@ -139,8 +120,8 @@ let grid_moves ~width ~limit cut =
   List.init width (fun tid -> (tid, tag))
   |> List.filter (fun (tid, _) -> cut.(tid) < limit)
 
-let run_grid ~jobs ~width ~limit =
-  let pool = Pool.create ~jobs in
+let run_grid ~width ~limit =
+  let pool = Pool.create ~jobs:1 in
   let frontier = ref (E.singleton ~width (Array.make width 0) [ 0 ]) in
   let trace = ref [] in
   let running = ref true in
@@ -150,7 +131,7 @@ let run_grid ~jobs ~width ~limit =
     in
     trace := List.rev level :: !trace;
     let next =
-      E.expand pool ~par_threshold:0
+      E.expand pool
         ~moves:(fun ~shard:_ cut -> grid_moves ~width ~limit cut)
         ~transition:(fun ~shard:_ _payload ~tid:_ tag -> [ tag ])
         !frontier
@@ -159,15 +140,41 @@ let run_grid ~jobs ~width ~limit =
   done;
   List.rev !trace
 
-let test_engine_jobs_identical () =
-  let seq = run_grid ~jobs:1 ~width:3 ~limit:2 in
-  List.iter
-    (fun jobs ->
-      Alcotest.(check bool)
-        (Printf.sprintf "grid trace identical at jobs=%d" jobs)
-        true
-        (run_grid ~jobs ~width:3 ~limit:2 = seq))
-    [ 2; 3; 4; 7 ]
+(* The expected trace, level by level, computed directly: the cuts of
+   the [limit]-bounded grid whose components sum to the level, in
+   lexicographic order, each carrying the sorted tags of its
+   predecessor cuts (the bottom carries its seed tag [0]). *)
+let grid_reference ~width ~limit =
+  let tag cut = List.fold_left (fun acc v -> (acc * (limit + 1)) + v) 0 cut in
+  let rec cuts_of_sum w sum =
+    if w = 0 then if sum = 0 then [ [] ] else []
+    else
+      List.concat_map
+        (fun v -> List.map (fun rest -> v :: rest) (cuts_of_sum (w - 1) (sum - v)))
+        (List.init (limit + 1) Fun.id)
+  in
+  List.init ((width * limit) + 1) (fun level ->
+      List.map
+        (fun cut ->
+          let preds =
+            List.concat
+              (List.mapi
+                 (fun i v ->
+                   if v = 0 then []
+                   else [ tag (List.mapi (fun j u -> if j = i then u - 1 else u) cut) ])
+                 cut)
+          in
+          (cut, if level = 0 then [ 0 ] else List.sort compare preds))
+        (cuts_of_sum width level))
+
+let test_engine_grid_golden () =
+  let trace = run_grid ~width:3 ~limit:2 in
+  Alcotest.(check int) "levels" 7 (List.length trace);
+  Alcotest.(check int) "cuts" 27 (List.length (List.concat trace));
+  Alcotest.(check bool) "level 1" true
+    (List.nth trace 1 = [ ([ 0; 0; 1 ], [ 0 ]); ([ 0; 1; 0 ], [ 0 ]); ([ 1; 0; 0 ], [ 0 ]) ]);
+  Alcotest.(check bool) "every level matches the direct construction" true
+    (trace = grid_reference ~width:3 ~limit:2)
 
 let test_engine_canonical_order_and_min () =
   let pool = Pool.create ~jobs:1 in
@@ -191,10 +198,8 @@ let () =
           Alcotest.test_case "growth" `Quick test_cutset_growth;
           QCheck_alcotest.to_alcotest qcheck_cutset_vs_hashtbl ] );
       ( "pool",
-        [ Alcotest.test_case "jobs resolution" `Quick test_pool_jobs_resolution;
-          Alcotest.test_case "runs every shard" `Quick test_pool_runs_every_shard;
-          Alcotest.test_case "propagates exceptions" `Quick test_pool_propagates_exceptions ] );
+        [ Alcotest.test_case "sequential only" `Quick test_pool_sequential_only ] );
       ( "engine",
-        [ Alcotest.test_case "jobs=N trace identical" `Quick test_engine_jobs_identical;
+        [ Alcotest.test_case "grid golden trace" `Quick test_engine_grid_golden;
           Alcotest.test_case "canonical order + min" `Quick
             test_engine_canonical_order_and_min ] ) ]

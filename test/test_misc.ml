@@ -234,6 +234,16 @@ let test_dynamic_threads_seen_monotone () =
     (Invalid_argument "Dynamic.join: negative thread id") (fun () ->
       Mvc.Dynamic.join algo ~parent:5 ~child:(-1));
   Alcotest.(check (list int)) "rejected joins leave no trace" [ 5 ]
+    (Mvc.Dynamic.threads_seen algo);
+  (* A thread whose only event was non-relevant has no clock entry, but
+     it has run, so it cannot be spawned. *)
+  ignore (Mvc.Dynamic.process algo 3 Event.Internal);
+  Alcotest.check_raises "spawn rejects a child that already ran"
+    (Invalid_argument "Dynamic.spawn: child thread already exists") (fun () ->
+      Mvc.Dynamic.spawn algo ~parent:5 ~child:3);
+  Alcotest.(check (list (pair int int))) "child's clock unchanged" []
+    (Dvclock.to_list (Mvc.Dynamic.thread_clock algo 3));
+  Alcotest.(check (list int)) "rejected spawn leaves threads seen" [ 3; 5 ]
     (Mvc.Dynamic.threads_seen algo)
 
 let () =

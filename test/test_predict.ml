@@ -115,10 +115,10 @@ let computations_pool () =
 
 (* The analyzer fed a computation's messages in [feed_order], then
    finished. *)
-let online_of_comp ?(jobs = 1) ?par_threshold spec comp ~feed_order =
+let online_of_comp spec comp ~feed_order =
   let nthreads = Observer.Computation.nthreads comp in
   let init = Pastltl.State.to_list (Observer.Computation.init_state comp) in
-  let online = Predict.Online.create ~jobs ?par_threshold ~nthreads ~init ~spec () in
+  let online = Predict.Online.create ~nthreads ~init ~spec () in
   Predict.Online.feed_all online (feed_order (Observer.Computation.messages comp));
   Predict.Online.finish online;
   online
@@ -857,49 +857,12 @@ let test_online_violations_capped () =
   let levels = List.map (fun v -> v.Predict.Online.level) (Predict.Online.violations whole) in
   Alcotest.(check (list int)) "in level order" (List.sort compare levels) levels
 
-(* {1 jobs=N differential: the parallel frontier engine must be
-      indistinguishable from the sequential one} *)
-
-let check_online_differential ~name spec comp ~feed_order =
-  let seq = online_of_comp ~jobs:1 spec comp ~feed_order in
-  List.iter
-    (fun jobs ->
-      let par = online_of_comp ~jobs ~par_threshold:0 spec comp ~feed_order in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: jobs=%d identical violations" name jobs)
-        true
-        (violations_equal (Predict.Online.violations seq) (Predict.Online.violations par));
-      Alcotest.(check int)
-        (Printf.sprintf "%s: jobs=%d same level" name jobs)
-        (Predict.Online.level seq) (Predict.Online.level par);
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: jobs=%d same gc stats" name jobs)
-        true
-        (Predict.Online.gc_stats seq = Predict.Online.gc_stats par);
-      Alcotest.(check int)
-        (Printf.sprintf "%s: jobs=%d same residual buffer" name jobs)
-        (Predict.Online.buffered seq) (Predict.Online.buffered par))
-    [ 2; 4 ]
-
-let test_online_jobs_differential () =
-  List.iteri
-    (fun i comp ->
-      List.iter
-        (fun spec ->
-          List.iter
-            (fun (fname, feed_order) ->
-              check_online_differential
-                ~name:(Format.asprintf "comp %d (%s), %a" i fname Pastltl.Formula.pp spec)
-                spec comp ~feed_order)
-            [ ("in-order", fun ms -> ms);
-              ("shuffled", Observer.Channel.shuffle ~seed:11) ])
-        specs_pool)
-    (computations_pool ())
+(* {1 Random programs against enumeration} *)
 
 (* Random programs: 2-3 threads of random writes to a small shared pool
    (at most 9 events, so at most 1680 runs), run under a random
-   schedule, then analyzed at every jobs count and checked against
-   explicit run enumeration. *)
+   schedule, then analyzed with shuffled and with in-order delivery and
+   checked against explicit run enumeration. *)
 let gen_random_program =
   QCheck.Gen.(
     let var = oneofl [ "a"; "b"; "c" ] in
@@ -944,22 +907,21 @@ let comp_of_random (threads, sched_seed, _) =
     ~nthreads:(List.length program.Tml.Ast.threads)
     ~init:program.Tml.Ast.shared r.Tml.Vm.messages
 
-let qcheck_jobs_differential =
-  QCheck.Test.make ~name:"random programs: jobs=N == jobs=1, verdict = enumeration"
+let qcheck_random_programs =
+  QCheck.Test.make ~name:"random programs: verdict = enumeration"
     ~count:60 arb_random_program (fun ((_, _, spec_seed) as rp) ->
       let comp = comp_of_random rp in
       let spec = List.nth random_specs_pool (spec_seed mod List.length random_specs_pool) in
       let feed_order = Observer.Channel.shuffle ~seed:spec_seed in
-      let oseq = online_of_comp ~jobs:1 spec comp ~feed_order in
-      let opar = online_of_comp ~jobs:3 ~par_threshold:0 spec comp ~feed_order in
+      let shuffled = online_of_comp spec comp ~feed_order in
+      let in_order = analyze spec comp in
       let enumerated =
         Predict.Counterexample.violated (Predict.Counterexample.check ~spec comp)
       in
-      violations_equal (Predict.Online.violations oseq) (Predict.Online.violations opar)
-      && Predict.Online.level oseq = Predict.Online.level opar
-      && Predict.Online.gc_stats oseq = Predict.Online.gc_stats opar
-      && Predict.Online.violated oseq = enumerated
-      && Predict.Online.violated (analyze spec comp) = enumerated)
+      violations_equal (Predict.Online.violations shuffled) (Predict.Online.violations in_order)
+      && Predict.Online.level shuffled = Predict.Online.level in_order
+      && Predict.Online.violated shuffled = enumerated
+      && Predict.Online.violated in_order = enumerated)
 
 let test_counterexample_run_count_fields () =
   let report =
@@ -1033,10 +995,8 @@ let () =
           Alcotest.test_case "resume at every feed index" `Quick
             test_online_resume_every_index;
           Alcotest.test_case "violations capped" `Quick test_online_violations_capped ] );
-      ( "jobs differential",
-        [ Alcotest.test_case "online jobs=N == jobs=1" `Quick
-            test_online_jobs_differential;
-          QCheck_alcotest.to_alcotest qcheck_jobs_differential;
+      ( "enumeration check",
+        [ QCheck_alcotest.to_alcotest qcheck_random_programs;
           Alcotest.test_case "counterexample run-count fields" `Quick
             test_counterexample_run_count_fields ] );
       ( "liveness",

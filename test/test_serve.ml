@@ -116,7 +116,6 @@ let default_session ?(spec = Pastltl.Formula.True)
     spec_fp = Jmpax.Checkpoint.fingerprint spec;
     engines;
     max_buffered;
-    jobs = 1;
     recovery;
     checkpoint_dir;
     checkpoint_every = 1;
