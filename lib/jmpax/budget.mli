@@ -7,12 +7,15 @@
 
     - {b accounting}: {!usage} reads O(1) incremental counters off a
       live {!Predict.Engines} bundle (frontier cut count and arena
-      words, causal-delivery buffering, total resident words);
+      words, the one delivery front's causal buffer, total resident
+      words);
     - {b limits}: what the front ends configure from
       [--max-frontier-cuts], [--max-causal-buffered] and the global
       [--memory-budget];
     - {b policy}: {!check} turns usage + limits into a typed {!breach},
       and the {!policy} chosen with [--on-overload] decides its fate —
+      the front ends call it after every feed, and it is the only place
+      the causal bound is enforced —
       [Degrade] swaps the lattice engine for the linear-time engines at
       a clean causal boundary ({!Predict.Engines.degrade}), [Evict]
       checkpoints-then-drops the offending session, [Fail] stops the

@@ -399,8 +399,8 @@ let decode_body body =
           Ok (Some parsed, lines)
       | _ -> Ok (None, lines)
     in
-    (* Engine sub-blocks (absent in files written before the registry,
-       which always carry the online group instead). *)
+    (* Engine sub-blocks (absent when the lattice engine ran alone,
+       which always carries the online group instead). *)
     let rec take_engines acc lines =
       match lines with
       | line :: rest when String.length line >= 7 && String.sub line 0 7 = "engine "

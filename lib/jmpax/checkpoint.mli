@@ -45,9 +45,13 @@ type t = {
   ck_quarantined : int;
   ck_peak_buffered : int;
   ck_engines : (string * string list) list;
-      (** versioned opaque sub-blocks of the non-lattice engines
-          ({!Predict.Engines.snapshots}); each engine validates its own
-          version line on restore.  Empty for pre-registry files. *)
+      (** versioned opaque sub-blocks of the linear-time engines
+          ({!Predict.Engines.snapshots}): a [delivery] block for their
+          shared delivery front (sync clocks, causal buffer,
+          out-of-order count), then [race] and [atomicity].  Each block
+          validates its own version line on restore; older [race 1] /
+          [atomicity 1] blocks, which carry their own copy of the front,
+          still restore.  Empty when the lattice engine runs alone. *)
   ck_online : Predict.Online.snapshot option;
       (** the lattice engine's state; [None] when the session ran
           without the lattice engine ([--engine race,...]).  At least

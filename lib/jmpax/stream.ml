@@ -61,17 +61,15 @@ let run ?(chunk_size = default_chunk_size) ?max_frame ?max_buffered
       invalid_arg "Stream.run: checkpoint interval must be >= 1"
   | _ -> ());
   if engines = [] then invalid_arg "Stream.run: no engine selected";
-  let overflow_limit = budget.Budget.max_causal_buffered in
   let* reader, bundle0, ends0, quarantined0, peak0 =
     match resume with
     | None -> Ok (Wire.Reader.create ?max_frame (), None, 0, 0, 0)
     | Some ck -> (
         match
           let b =
-            Predict.Engines.restore ?max_buffered ?overflow_limit
+            Predict.Engines.restore ?max_buffered
               ?degraded:ck.Checkpoint.ck_degraded ~kinds:engines
-              ~nthreads:ck.Checkpoint.ck_header.Wire.nthreads
-              ~init:ck.Checkpoint.ck_header.Wire.init ~spec:(Some spec)
+              ~nthreads:ck.Checkpoint.ck_header.Wire.nthreads ~spec:(Some spec)
               ~online_snapshot:ck.Checkpoint.ck_online
               ~blocks:ck.Checkpoint.ck_engines
               ~events:ck.Checkpoint.ck_reader_stats.Wire.Reader.messages ()
@@ -213,11 +211,6 @@ let run ?(chunk_size = default_chunk_size) ?max_frame ?max_buffered
             Ok ()
         | exception Predict.Online.Backpressure { buffered; limit } ->
             Error (Wire.Error.Backpressure { buffered; limit })
-        | exception Predict.Causal.Causal_buffer_overflow { buffered; limit } ->
-            (* The budget cap on the linear engines' delivery buffer:
-               routed through the overload policy rather than the hard
-               backpressure exit. *)
-            apply_breach b (Budget.Causal_buffered { buffered; limit })
         | exception Invalid_argument _ ->
             (* A well-formed frame carrying a (thread, index) pair we
                already consumed: an input defect, so the recovery policy
@@ -258,7 +251,7 @@ let run ?(chunk_size = default_chunk_size) ?max_frame ?max_buffered
     | Wire.Reader.Item (Wire.Reader.Header h) ->
         bundle :=
           Some
-            (Predict.Engines.create ?max_buffered ?overflow_limit ~kinds:engines
+            (Predict.Engines.create ?max_buffered ~kinds:engines
                ~nthreads:h.Wire.nthreads ~init:h.Wire.init ~spec:(Some spec) ());
         loop ()
     | Wire.Reader.Item (Wire.Reader.Msg m) -> (

@@ -315,6 +315,13 @@ module Core = struct
     |> List.sort (fun a b -> compare (a.first, a.remote) (b.first, b.remote))
 end
 
+(* A write, before its clock update: a lock write opens or closes the
+   thread's block. *)
+let write core ~tid ~var ~value =
+  match lock_name var with
+  | Some l -> Core.sync_lock core tid l value
+  | None -> ()
+
 let analyze ?(max_violations = 1000) exec =
   let nthreads = Exec.nthreads exec in
   let clocks = Syncclock.create ~nthreads in
@@ -322,10 +329,7 @@ let analyze ?(max_violations = 1000) exec =
   Array.iter
     (fun (e : Event.t) ->
       (match e.kind with
-      | Event.Write (x, v) -> (
-          match lock_name x with
-          | Some l -> Core.sync_lock core e.tid l v
-          | None -> ())
+      | Event.Write (var, value) -> write core ~tid:e.tid ~var ~value
       | Event.Read _ | Event.Internal -> ());
       match Syncclock.observe clocks e with
       | None -> ()
@@ -381,66 +385,47 @@ let classes_of_report r =
 let verdict_of_report r =
   verdict ~classes:(classes_of_report r) ~transactions:r.transactions
 
-(* {1 The streaming engine} *)
+(* {1 The streaming engine}
 
-let m_events = M.counter "predict.atomicity.events"
+   The atomicity engine's own state is one {!Core}.  {!Engines} owns
+   the causal delivery front and the sync-only clocks, reports every
+   delivered write through [write] and every data access through
+   [observe]. *)
+
 let m_classes = M.counter "predict.atomicity.violations"
 
-type engine = {
-  e_clocks : Syncclock.t;
-  e_causal : Causal.t;
-  e_core : Core.t;
-  mutable e_events : int;
-  mutable e_ooo : int;
-}
+type engine = Core.t
 
 let engine_max_violations = 1000
 
-let deliver st (m : Message.t) =
-  let var, is_read =
-    match Types.as_read m.Message.var with
-    | Some x -> (x, true)
-    | None -> (m.Message.var, false)
+let create ~nthreads = Core.create ~nthreads
+
+let observe st (a : Race.access) =
+  let fresh =
+    Core.access st ~max_violations:engine_max_violations ~tid:a.Race.tid
+      ~var:a.Race.var
+      ~kind:(if a.Race.is_write then Write else Read)
+      ~vc:a.Race.vc ~eid:a.Race.eid
   in
-  (if not is_read then
-     match lock_name var with
-     | Some l -> Core.sync_lock st.e_core m.Message.tid l m.Message.value
-     | None -> ());
-  match Syncclock.observe_access st.e_clocks m.Message.tid ~var ~is_read with
-  | None -> ()
-  | Some vc ->
-      let fresh =
-        Core.access st.e_core ~max_violations:engine_max_violations
-          ~tid:m.Message.tid ~var
-          ~kind:(if is_read then Read else Write)
-          ~vc ~eid:m.Message.eid
-      in
-      if M.enabled () then List.iter (fun _ -> M.incr m_classes) fresh
+  if M.enabled () then List.iter (fun _ -> M.incr m_classes) fresh
 
-let engine_feed st m =
-  st.e_events <- st.e_events + 1;
-  if M.enabled () then M.incr m_events;
-  let delivered = Causal.feed st.e_causal m in
-  if not (List.memq m delivered) then st.e_ooo <- st.e_ooo + 1;
-  List.iter (deliver st) delivered
+let violated (st : engine) = Hashtbl.length st.Core.c_classes > 0
 
-let snapshot_version = "atomicity 1"
+let engine_verdict st =
+  verdict ~classes:(Core.classes st) ~transactions:st.Core.c_transactions
+
+let snapshot_version = "atomicity 2"
 
 let kind_of_code ~what = function
   | "R" -> Read
   | "W" -> Write
   | s -> invalid_arg (Printf.sprintf "%s: bad access kind %S" what s)
 
-let engine_snapshot st =
+let snapshot core =
   let lines = ref [] in
   let open Engine.Snapshot in
-  let core = st.e_core in
   push lines snapshot_version;
-  add_syncclock lines (Syncclock.snapshot st.e_clocks);
-  add_causal lines (Causal.snapshot st.e_causal);
-  push lines
-    (Printf.sprintf "counts %d %d %d" core.Core.c_transactions st.e_events
-       st.e_ooo);
+  push lines (Printf.sprintf "counts %d" core.Core.c_transactions);
   push lines
     ("depth "
     ^ String.concat " " (Array.to_list (Array.map string_of_int core.Core.c_depth)));
@@ -525,62 +510,15 @@ let engine_snapshot st =
     classes;
   List.rev !lines
 
-let instance_of st =
-  { Engine.name = "atomicity";
-    feed = engine_feed st;
-    end_of_thread = Causal.end_of_thread st.e_causal;
-    finish = (fun () -> Causal.finish st.e_causal);
-    violated = (fun () -> Hashtbl.length st.e_core.Core.c_classes > 0);
-    verdict =
-      (fun () ->
-        verdict
-          ~classes:(Core.classes st.e_core)
-          ~transactions:st.e_core.Core.c_transactions);
-    events = (fun () -> st.e_events);
-    buffered = (fun () -> Causal.buffered st.e_causal);
-    out_of_order = (fun () -> st.e_ooo);
-    missing = (fun () -> Causal.missing st.e_causal);
-    snapshot = (fun () -> engine_snapshot st) }
-
-let engine_create (ctx : Engine.ctx) =
-  instance_of
-    { e_clocks = Syncclock.create ~nthreads:ctx.Engine.nthreads;
-      e_causal =
-        (* Same degrade-handoff seeding as the race engine: a [start]
-           cut resumes delivery mid-stream with empty summaries. *)
-        (match ctx.Engine.start with
-        | Some cut ->
-            Causal.restore ?max_buffered:ctx.Engine.max_buffered
-              ?overflow_limit:ctx.Engine.overflow_limit cut
-        | None ->
-            Causal.create ?max_buffered:ctx.Engine.max_buffered
-              ?overflow_limit:ctx.Engine.overflow_limit
-              ~nthreads:ctx.Engine.nthreads ());
-      e_core = Core.create ~nthreads:ctx.Engine.nthreads;
-      e_events = 0;
-      e_ooo = 0 }
-
-let engine_restore (ctx : Engine.ctx) lines =
+let restore ~nthreads lines =
   let what = "atomicity engine" in
   let open Engine.Snapshot in
   let r = reader lines in
-  let version = line ~what r in
-  if version <> snapshot_version then
-    invalid_arg
-      (Printf.sprintf "%s: unsupported snapshot version %S" what version);
-  let clocks = read_syncclock ~what r in
-  let causal =
-    read_causal ~what ?max_buffered:ctx.Engine.max_buffered
-      ?overflow_limit:ctx.Engine.overflow_limit r
-  in
-  let nthreads = Causal.nthreads causal in
+  version ~what ~expected:snapshot_version r;
   let core = Core.create ~nthreads in
-  let transactions, events, ooo =
-    match keyed ~what ~key:"counts" r with
-    | [ t; e; o ] -> (int ~what t, int ~what e, int ~what o)
-    | _ -> invalid_arg (what ^ ": malformed counts line")
-  in
-  core.Core.c_transactions <- transactions;
+  (match keyed ~what ~key:"counts" r with
+  | [ t ] -> core.Core.c_transactions <- int ~what t
+  | _ -> invalid_arg (what ^ ": malformed counts line"));
   let depth = keyed ~what ~key:"depth" r |> List.map (int ~what) in
   if List.length depth <> nthreads then
     invalid_arg (what ^ ": depth array does not match thread count");
@@ -670,8 +608,4 @@ let engine_restore (ctx : Engine.ctx) lines =
           Hashtbl.replace core.Core.c_classes (v.tid, v.lock, v.var, v.pattern) v
       | _ -> invalid_arg (what ^ ": malformed cl line"));
   if not (eof r) then invalid_arg (what ^ ": trailing lines in snapshot");
-  instance_of
-    { e_clocks = clocks; e_causal = causal; e_core = core; e_events = events;
-      e_ooo = ooo }
-
-let factory = { Engine.create = engine_create; restore = engine_restore }
+  core

@@ -81,11 +81,36 @@ val verdict :
 
 val verdict_of_report : report -> string
 
-(** {1 The streaming engine} *)
+(** {1 The streaming engine}
 
-val factory : Engine.factory
-(** The message-driven atomicity engine registered as ["atomicity"]: a
-    causal delivery buffer ({!Causal}) feeding sync-only clocks and the
-    same bounded summaries as {!analyze}.  Verdicts equal
+    The atomicity engine's own state: the same bounded summaries as
+    {!analyze}.  It has no delivery buffer and no clocks: {!Engines}
+    delivers the messages in causal order, advances the one sync-only
+    clock set they share, and reports each delivered write to {!write}
+    and each data access to {!observe}.  Verdicts equal
     {!verdict_of_report} of the offline pass on the same execution, for
     any arrival order the transport permits. *)
+
+type engine
+
+val create : nthreads:int -> engine
+
+val write :
+  engine -> tid:Types.tid -> var:Types.var -> value:Types.value -> unit
+(** A delivered write, before its clock update: a write of a lock
+    variable opens or closes the thread's sync block. *)
+
+val observe : engine -> Race.access -> unit
+(** One data access, in causal delivery order. *)
+
+val violated : engine -> bool
+
+val engine_verdict : engine -> string
+(** {!verdict} of the sync blocks seen so far. *)
+
+val snapshot : engine -> string list
+(** The [atomicity 2] checkpoint block. *)
+
+val restore : nthreads:int -> string list -> engine
+(** Rebuild from {!snapshot} output.
+    @raise Invalid_argument on a malformed or truncated block. *)

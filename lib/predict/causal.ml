@@ -1,41 +1,32 @@
 open Trace
 
-exception Causal_buffer_overflow of { buffered : int; limit : int }
-
 type t = {
   nthreads : int;
   delivered : int array;
   pending : (int, Message.t) Hashtbl.t array;  (* per thread, keyed by seq *)
   ended : bool array;
   max_buffered : int option;
-  overflow_limit : int option;
   mutable buffered : int;
   mutable peak_buffered : int;
   mutable delivered_total : int;
 }
 
-let create ?max_buffered ?overflow_limit ~nthreads () =
+let create ?max_buffered ~nthreads () =
   if nthreads <= 0 then invalid_arg "Causal.create: nthreads must be positive";
   (match max_buffered with
   | Some k when k < 0 -> invalid_arg "Causal.create: max_buffered must be >= 0"
-  | _ -> ());
-  (match overflow_limit with
-  | Some k when k < 0 -> invalid_arg "Causal.create: overflow_limit must be >= 0"
   | _ -> ());
   { nthreads;
     delivered = Array.make nthreads 0;
     pending = Array.init nthreads (fun _ -> Hashtbl.create 8);
     ended = Array.make nthreads false;
     max_buffered;
-    overflow_limit;
     buffered = 0;
     peak_buffered = 0;
     delivered_total = 0 }
 
-let nthreads t = t.nthreads
 let buffered t = t.buffered
 let peak_buffered t = t.peak_buffered
-let delivered_total t = t.delivered_total
 
 (* A message is deliverable once its thread's prefix is complete (the
    caller checks the head position) and every other component of its
@@ -91,13 +82,6 @@ let feed t (m : Message.t) =
   t.buffered <- t.buffered + 1;
   if t.buffered > t.peak_buffered then t.peak_buffered <- t.buffered;
   let out = drain t in
-  (* The budget cap first: its typed error routes through the overload
-     policy (degrade / evict / fail), a gentler fate than the hard
-     backpressure disconnect below. *)
-  (match t.overflow_limit with
-  | Some limit when t.buffered > limit ->
-      raise (Causal_buffer_overflow { buffered = t.buffered; limit })
-  | _ -> ());
   (match t.max_buffered with
   | Some limit when t.buffered > limit ->
       raise (Online.Backpressure { buffered = t.buffered; limit })
@@ -168,12 +152,12 @@ let snapshot t =
     snap_peak_buffered = t.peak_buffered;
     snap_delivered_total = t.delivered_total }
 
-let restore ?max_buffered ?overflow_limit (s : snapshot) =
+let restore ?max_buffered (s : snapshot) =
   let nthreads = Array.length s.snap_delivered in
   if nthreads = 0 then invalid_arg "Causal.restore: empty snapshot";
   if Array.length s.snap_ended <> nthreads then
     invalid_arg "Causal.restore: ended array does not match thread count";
-  let t = create ?max_buffered ?overflow_limit ~nthreads () in
+  let t = create ?max_buffered ~nthreads () in
   Array.blit s.snap_delivered 0 t.delivered 0 nthreads;
   Array.blit s.snap_ended 0 t.ended 0 nthreads;
   List.iter

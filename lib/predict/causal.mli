@@ -1,9 +1,10 @@
-(** Causal-order delivery buffer for the message-driven engines.
+(** Causal-order delivery buffer for the linear-time engines.
 
     The streaming race and atomicity engines reconstruct the sync-only
     happens-before ({!Syncclock}) from the message stream itself, which
     is only deterministic when messages are processed in {e some}
-    linearization of the causal order their clocks carry.  This buffer
+    linearization of the causal order their clocks carry.  {!Engines}
+    holds one such buffer for every engine that reads it.  This buffer
     accepts messages in any arrival order and releases them causally:
     message [m] of thread [t] with own index [s = m.mvc(t)] is delivered
     once messages [1..s-1] of [t] and the first [m.mvc(j)] messages of
@@ -15,39 +16,27 @@
     Duplicate and out-of-range messages raise [Invalid_argument] with
     the same semantics as {!Online.feed}, and the out-of-order bound
     raises {!Online.Backpressure}, so the streaming front ends treat all
-    engines uniformly. *)
+    engines uniformly.  The softer [--max-causal-buffered] budget is not
+    enforced here: the front ends read {!buffered} after every feed and
+    route a breach through the overload policy ([Jmpax.Budget]). *)
 
 open Trace
 
 type t
 
-exception Causal_buffer_overflow of { buffered : int; limit : int }
-(** Raised by {!feed} when the delivery buffer exceeds the
-    [overflow_limit] {e budget} cap.  Unlike {!Online.Backpressure}
-    (the hard per-stream bound, exit class 4), this typed error is
-    routed through the resource-budget overload policy
-    (degrade / evict / fail), so a slow-loris writer withholding one
-    thread's messages gets the per-session treatment instead of growing
-    the daemon without bound. *)
-
-val create : ?max_buffered:int -> ?overflow_limit:int -> nthreads:int -> unit -> t
-(** [max_buffered] is the hard backpressure bound ({!Online.Backpressure});
-    [overflow_limit] is the softer budget cap ({!Causal_buffer_overflow}).
-    When both are exceeded by one message the budget cap wins. *)
+val create : ?max_buffered:int -> nthreads:int -> unit -> t
+(** [max_buffered] is the hard backpressure bound ({!Online.Backpressure}). *)
 
 val feed : t -> Message.t -> Message.t list
 (** Buffer one message and return every message that became deliverable,
     in causal order (oldest first).
     @raise Invalid_argument on duplicates, out-of-range thread ids, or
     messages arriving after their thread ended.
-    @raise Causal_buffer_overflow when the buffer exceeds [overflow_limit].
     @raise Online.Backpressure when the buffer exceeds [max_buffered]. *)
 
 val end_of_thread : t -> Types.tid -> unit
 val buffered : t -> int
 val peak_buffered : t -> int
-val delivered_total : t -> int
-val nthreads : t -> int
 
 val missing : t -> (Types.tid * int) option
 (** The first thread whose next message is absent and blocks delivery;
@@ -69,5 +58,5 @@ type snapshot = {
 }
 
 val snapshot : t -> snapshot
-val restore : ?max_buffered:int -> ?overflow_limit:int -> snapshot -> t
+val restore : ?max_buffered:int -> snapshot -> t
 (** @raise Invalid_argument on an inconsistent snapshot. *)

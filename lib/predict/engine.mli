@@ -1,12 +1,13 @@
-(** The pluggable prediction-engine interface.
+(** What the prediction engines share.
 
-    JMPaX's observer originally ran exactly one analysis — the level-by-
-    level lattice traversal ({!Online}).  This module generalizes the
-    observer side to a registry of {e engines}: each engine consumes the
-    same Algorithm-A message stream one message at a time, reports a
-    verdict, and can snapshot/restore its state for checkpointed
-    resumption.  [jmpax check/run/stream] and the serve sessions select
-    engines with [--engine lattice,race,atomicity]. *)
+    JMPaX's observer runs up to three analyses over one Algorithm-A
+    message stream: the level-by-level lattice traversal ({!Online})
+    and the linear-time {!Race} and {!Atomicity} engines.
+    [jmpax check/run/stream] and the serve sessions select them with
+    [--engine lattice,race,atomicity]; {!Engines} drives the selection.
+    This module holds the closed {!kind} variant, the replay that turns
+    a recorded execution into the engines' message stream, and the line
+    codec their checkpoint blocks are written in. *)
 
 open Trace
 
@@ -25,66 +26,6 @@ val kinds_to_string : kind list -> string
 val kinds_of_string : string -> (kind list, string) result
 (** Parse a comma-separated engine list ([--engine] syntax).  Order is
     preserved, duplicates are dropped, unknown names are an [Error]. *)
-
-(** {1 The engine interface} *)
-
-type instance = {
-  name : string;
-  feed : Message.t -> unit;
-      (** One observed message, any arrival order permitted by the
-          transport.  Raises [Invalid_argument] on duplicates and
-          {!Online.Backpressure} past the out-of-order bound, matching
-          {!Online.feed}. *)
-  end_of_thread : Types.tid -> unit;
-  finish : unit -> unit;
-      (** End of stream; raises [Invalid_argument] if messages are
-          provably missing. *)
-  violated : unit -> bool;
-  verdict : unit -> string;
-      (** Canonical one-line verdict, [predict.<name>: ...].  Stable
-          across front ends (check / stream / serve) and byte-comparable
-          with the offline passes. *)
-  events : unit -> int;  (** messages fed so far *)
-  buffered : unit -> int;
-  out_of_order : unit -> int;
-  missing : unit -> (Types.tid * int) option;
-  snapshot : unit -> string list;
-      (** Version-tagged opaque lines, embedded in the checkpoint
-          format.  Lines never start with a checkpoint keyword and never
-          contain newlines. *)
-}
-
-type ctx = {
-  nthreads : int;
-  init : (Types.var * Types.value) list;
-  spec : Pastltl.Formula.t option;  (** lattice engine only *)
-  max_buffered : int option;
-  overflow_limit : int option;
-      (** budget cap on the causal delivery buffer; past it {!instance.feed}
-          raises {!Causal.Causal_buffer_overflow} (message-driven engines
-          only) *)
-  start : Causal.snapshot option;
-      (** start the engine mid-stream from this causal cut instead of the
-          empty beginning — the degrade path hands the lattice engine's
-          delivered/pending split over so the linear-time engines pick the
-          stream up at a clean causal boundary.  The engine's summaries
-          start empty: it soundly covers only the suffix. *)
-}
-
-type factory = {
-  create : ctx -> instance;
-  restore : ctx -> string list -> instance;
-      (** Rebuild from {!instance.snapshot} output.
-          @raise Invalid_argument on a malformed or truncated block. *)
-}
-
-(** {1 Registry} *)
-
-val register : string -> factory -> unit
-(** @raise Invalid_argument on duplicate registration. *)
-
-val find : string -> factory option
-val names : unit -> string list
 
 (** {1 Replaying a recorded execution} *)
 
@@ -115,10 +56,10 @@ module Snapshot : sig
   val push : string list ref -> string -> unit
   (** Lines accumulate reversed; finish with [List.rev]. *)
 
-  val add_syncclock : string list ref -> Syncclock.snapshot -> unit
-  val read_syncclock : what:string -> reader -> Syncclock.t
-  val add_causal : string list ref -> Causal.snapshot -> unit
+  val rest : reader -> string list
+  (** The lines not read yet. *)
 
-  val read_causal :
-    what:string -> ?max_buffered:int -> ?overflow_limit:int -> reader -> Causal.t
+  val version : what:string -> expected:string -> reader -> unit
+  (** Read the block's version line.
+      @raise Invalid_argument unless it is [expected]. *)
 end

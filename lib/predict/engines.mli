@@ -2,15 +2,19 @@
 
     The front ends ([jmpax check/run/stream] and the serve sessions)
     select engines with [--engine lattice,race,atomicity]; this module
-    fans each observed message out to every selected engine and
-    aggregates their progress, verdicts and checkpoint state.
+    feeds each observed message to the selected engines, dispatching on
+    the closed {!Engine.kind} variant, and aggregates their progress,
+    verdicts and checkpoint state.
 
-    The lattice engine ({!Online}) keeps its first-class identity —
-    [online t] exposes it so the stream/serve checkpoint and telemetry
-    paths that predate the registry keep working unchanged; the
-    streaming race and atomicity engines ride the generic
-    {!Engine.instance} interface and are registered here (loading this
-    module is what links their registrations in). *)
+    The lattice engine ({!Online}) reads the stream directly; [online t]
+    exposes it to the stream/serve checkpoint and telemetry paths.  The
+    linear-time race and atomicity engines share one {e delivery front}:
+    one {!Causal} buffer releases each message in causal order (the
+    paper's observer, Section 4), one {!Syncclock} set turns it into the
+    sync-only happens-before (Section 3.1), and each delivered data
+    access is handed with its clock to {!Race.observe} and
+    {!Atomicity.observe}.  The front exists while either engine is live,
+    whatever the number of engines reading it. *)
 
 open Trace
 
@@ -28,26 +32,25 @@ type degraded = {
 
 val create :
   ?max_buffered:int ->
-  ?overflow_limit:int ->
   kinds:Engine.kind list ->
   nthreads:int ->
   init:(Types.var * Types.value) list ->
   spec:Pastltl.Formula.t option ->
   unit ->
   t
-(** [overflow_limit] is the budget cap on the message-driven engines'
-    causal delivery buffers ({!Causal.Causal_buffer_overflow}).
+(** [max_buffered] bounds both the lattice engine's store and the
+    delivery front ({!Online.Backpressure}).
     @raise Invalid_argument when [kinds] is empty, or when the lattice
     engine is selected without a specification. *)
 
-val kinds : t -> Engine.kind list
-
 val feed : t -> Message.t -> unit
-(** Fan one message out to every engine (lattice first).
-    @raise Invalid_argument on duplicates — every engine agrees on
-    duplicate detection, so the first engine's verdict stands for all.
-    @raise Online.Backpressure past an engine's out-of-order bound;
-    backpressure is fatal to the bundle. *)
+(** Feed one message to the lattice engine, then through the delivery
+    front once.
+    @raise Invalid_argument on duplicates — the lattice engine and the
+    front agree on duplicate detection, so the first one's verdict
+    stands for all.
+    @raise Online.Backpressure past the out-of-order bound; backpressure
+    is fatal to the bundle. *)
 
 val end_of_thread : t -> Types.tid -> unit
 val finish : t -> unit
@@ -64,12 +67,14 @@ val degraded : t -> degraded option
 
 val degrade : t -> reason:string -> unit
 (** Swap the lattice engine out for the linear-time race and atomicity
-    engines at the current clean causal boundary (between feeds): the
-    lattice's delivered/pending split seeds the replacement engines'
-    delivery buffers, the lattice state is dropped, and the bundle
-    records {!degraded}.  Engines the bundle already ran keep their
-    state; fresh ones cover only the stream suffix.  A violation the
-    lattice had already predicted is preserved in [d_violated].
+    engines at the current clean causal boundary (between feeds), drop
+    the lattice state and record {!degraded}.  Without a live delivery
+    front, the lattice's delivered/pending split ({!Online.handoff})
+    seeds a new one; with one, the fresh engines attach to it at its
+    current cut, so they also see the messages still waiting for
+    causal delivery.  Engines the bundle already ran keep their state;
+    fresh ones cover only the stream suffix.  A violation the lattice
+    had already predicted is preserved in [d_violated].
     @raise Invalid_argument when no lattice engine is live. *)
 
 (** {1 Resource accounting}
@@ -82,24 +87,20 @@ val frontier_cuts : t -> int
     (live) lattice engine. *)
 
 val causal_buffered : t -> int
-(** Worst case over the message-driven engines' delivery buffers. *)
+(** Messages waiting in the delivery front; [0] without one.  The
+    [--max-causal-buffered] budget is enforced only on this count, by
+    the front ends' budget check after every feed. *)
 
 val mem_words : t -> int
 (** Approximate resident words of all live engine state (frontier arena,
-    message stores, delivery buffers). *)
-
-val events : t -> int
-(** Messages fed to the bundle. *)
+    message store, the one delivery front). *)
 
 val ticks : t -> int
 (** Checkpoint-cadence clock: the lattice level when the lattice engine
     runs, otherwise the message count. *)
 
-val buffered : t -> int
-(** Worst case over engines. *)
-
 val out_of_order : t -> int
-(** Worst case over engines. *)
+(** Worst case of the lattice engine and the delivery front. *)
 
 val missing : t -> (Types.tid * int) option
 
@@ -109,16 +110,17 @@ val verdict_lines : t -> (string * string) list
     [Pipeline.verdict_line] rendering). *)
 
 val snapshots : t -> (string * string list) list
-(** Checkpointable [(engine, opaque lines)] blocks of the non-lattice
-    engines ({!Online.snapshot} carries the lattice state). *)
+(** Checkpointable [(name, opaque lines)] blocks: the delivery front as
+    [delivery] (version [delivery 1]: sync clocks, causal buffer,
+    out-of-order count), then one block per linear-time engine
+    ([race 2], [atomicity 2]).  Empty without a front; {!Online.snapshot}
+    carries the lattice state. *)
 
 val restore :
   ?max_buffered:int ->
-  ?overflow_limit:int ->
   ?degraded:degraded ->
   kinds:Engine.kind list ->
   nthreads:int ->
-  init:(Types.var * Types.value) list ->
   spec:Pastltl.Formula.t option ->
   online_snapshot:Online.snapshot option ->
   blocks:(string * string list) list ->
@@ -130,6 +132,9 @@ val restore :
     is expected even when [Lattice] is selected, the race and atomicity
     blocks are restored instead, and the degraded status is preserved —
     kill/resume never upgrades a degraded verdict back to a full one.
+    Blocks written before the front was shared ([race 1],
+    [atomicity 1], each with its own copy of the front) still restore:
+    the front comes from the first of them.
     @raise Invalid_argument when the selected engines and the
     checkpointed state disagree (missing or unselected engine blocks,
     lattice state without the lattice engine or vice versa, degraded

@@ -145,64 +145,52 @@ let verdict ~racy_vars ~accesses =
 
 let verdict_of_report r = verdict ~racy_vars:r.racy_vars ~accesses:r.accesses
 
-(* {1 The streaming engine} *)
+(* {1 The streaming engine}
 
-let m_events = M.counter "predict.race.events"
+   The race engine's own state: the bounded summaries and the verdict
+   counters.  {!Engines} owns the causal delivery front and the
+   sync-only clocks and hands every delivered data access here. *)
+
 let m_pairs = M.counter "predict.race.pairs"
 let m_racy = M.counter "predict.race.racy_vars"
 
 type engine = {
-  e_clocks : Syncclock.t;
-  e_causal : Causal.t;
   e_summary : summary;
   mutable e_racy : Sset.t;
   mutable e_accesses : int;
   mutable e_pairs : int;
-  mutable e_events : int;
-  mutable e_ooo : int;
 }
 
-let deliver st (m : Message.t) =
-  let var, is_read =
-    match Types.as_read m.Message.var with
-    | Some x -> (x, true)
-    | None -> (m.Message.var, false)
-  in
-  match Syncclock.observe_access st.e_clocks m.Message.tid ~var ~is_read with
-  | None -> ()
-  | Some vc ->
-      st.e_accesses <- st.e_accesses + 1;
-      let this =
-        { eid = m.Message.eid; tid = m.Message.tid; var; is_write = not is_read; vc }
-      in
-      List.iter
-        (fun (_ : race) ->
-          st.e_pairs <- st.e_pairs + 1;
-          if M.enabled () then M.incr m_pairs;
-          if not (Sset.mem var st.e_racy) then begin
-            st.e_racy <- Sset.add var st.e_racy;
-            if M.enabled () then M.incr m_racy
-          end)
-        (summary_observe st.e_summary this)
+let create ~nthreads =
+  { e_summary = summary_create ~nthreads;
+    e_racy = Sset.empty;
+    e_accesses = 0;
+    e_pairs = 0 }
 
-let engine_feed st m =
-  st.e_events <- st.e_events + 1;
-  if M.enabled () then M.incr m_events;
-  let delivered = Causal.feed st.e_causal m in
-  if not (List.memq m delivered) then st.e_ooo <- st.e_ooo + 1;
-  List.iter (deliver st) delivered
+let observe st (a : access) =
+  st.e_accesses <- st.e_accesses + 1;
+  List.iter
+    (fun (_ : race) ->
+      st.e_pairs <- st.e_pairs + 1;
+      if M.enabled () then M.incr m_pairs;
+      if not (Sset.mem a.var st.e_racy) then begin
+        st.e_racy <- Sset.add a.var st.e_racy;
+        if M.enabled () then M.incr m_racy
+      end)
+    (summary_observe st.e_summary a)
 
-let snapshot_version = "race 1"
+let violated st = not (Sset.is_empty st.e_racy)
 
-let engine_snapshot st =
+let engine_verdict st =
+  verdict ~racy_vars:(Sset.elements st.e_racy) ~accesses:st.e_accesses
+
+let snapshot_version = "race 2"
+
+let snapshot st =
   let lines = ref [] in
   let open Engine.Snapshot in
   push lines snapshot_version;
-  add_syncclock lines (Syncclock.snapshot st.e_clocks);
-  add_causal lines (Causal.snapshot st.e_causal);
-  push lines
-    (Printf.sprintf "counts %d %d %d %d" st.e_accesses st.e_pairs st.e_events
-       st.e_ooo);
+  push lines (Printf.sprintf "counts %d %d" st.e_accesses st.e_pairs);
   push lines (Printf.sprintf "racy %d" (Sset.cardinal st.e_racy));
   Sset.iter (fun x -> push lines (Printf.sprintf "rv %s" x)) st.e_racy;
   let table name slots_table =
@@ -228,59 +216,14 @@ let engine_snapshot st =
   table "reads" st.e_summary.s_reads;
   List.rev !lines
 
-let instance_of st =
-  { Engine.name = "race";
-    feed = engine_feed st;
-    end_of_thread = Causal.end_of_thread st.e_causal;
-    finish = (fun () -> Causal.finish st.e_causal);
-    violated = (fun () -> not (Sset.is_empty st.e_racy));
-    verdict =
-      (fun () ->
-        verdict ~racy_vars:(Sset.elements st.e_racy) ~accesses:st.e_accesses);
-    events = (fun () -> st.e_events);
-    buffered = (fun () -> Causal.buffered st.e_causal);
-    out_of_order = (fun () -> st.e_ooo);
-    missing = (fun () -> Causal.missing st.e_causal);
-    snapshot = (fun () -> engine_snapshot st) }
-
-let engine_create (ctx : Engine.ctx) =
-  instance_of
-    { e_clocks = Syncclock.create ~nthreads:ctx.Engine.nthreads;
-      e_causal =
-        (* A [start] cut (the degrade handoff) seeds the delivery buffer
-           mid-stream; summaries still start empty — suffix-only
-           coverage, flagged by the caller's degraded marker. *)
-        (match ctx.Engine.start with
-        | Some cut ->
-            Causal.restore ?max_buffered:ctx.Engine.max_buffered
-              ?overflow_limit:ctx.Engine.overflow_limit cut
-        | None ->
-            Causal.create ?max_buffered:ctx.Engine.max_buffered
-              ?overflow_limit:ctx.Engine.overflow_limit
-              ~nthreads:ctx.Engine.nthreads ());
-      e_summary = summary_create ~nthreads:ctx.Engine.nthreads;
-      e_racy = Sset.empty;
-      e_accesses = 0;
-      e_pairs = 0;
-      e_events = 0;
-      e_ooo = 0 }
-
-let engine_restore (ctx : Engine.ctx) lines =
+let restore ~nthreads lines =
   let what = "race engine" in
   let open Engine.Snapshot in
   let r = reader lines in
-  let version = line ~what r in
-  if version <> snapshot_version then
-    invalid_arg
-      (Printf.sprintf "%s: unsupported snapshot version %S" what version);
-  let clocks = read_syncclock ~what r in
-  let causal =
-    read_causal ~what ?max_buffered:ctx.Engine.max_buffered
-      ?overflow_limit:ctx.Engine.overflow_limit r
-  in
-  let accesses, pairs, events, ooo =
+  version ~what ~expected:snapshot_version r;
+  let accesses, pairs =
     match keyed ~what ~key:"counts" r with
-    | [ a; p; e; o ] -> (int ~what a, int ~what p, int ~what e, int ~what o)
+    | [ a; p ] -> (int ~what a, int ~what p)
     | _ -> invalid_arg (what ^ ": malformed counts line")
   in
   let racy =
@@ -293,7 +236,6 @@ let engine_restore (ctx : Engine.ctx) lines =
         |> Sset.of_list
     | _ -> invalid_arg (what ^ ": malformed racy line")
   in
-  let nthreads = Causal.nthreads causal in
   let summary = summary_create ~nthreads in
   let table name slots_table is_write =
     match keyed ~what ~key:name r with
@@ -318,14 +260,4 @@ let engine_restore (ctx : Engine.ctx) lines =
   table "writes" summary.s_writes true;
   table "reads" summary.s_reads false;
   if not (eof r) then invalid_arg (what ^ ": trailing lines in snapshot");
-  instance_of
-    { e_clocks = clocks;
-      e_causal = causal;
-      e_summary = summary;
-      e_racy = racy;
-      e_accesses = accesses;
-      e_pairs = pairs;
-      e_events = events;
-      e_ooo = ooo }
-
-let factory = { Engine.create = engine_create; restore = engine_restore }
+  { e_summary = summary; e_racy = racy; e_accesses = accesses; e_pairs = pairs }

@@ -53,11 +53,30 @@ val verdict : racy_vars:Types.var list -> accesses:int -> string
 
 val verdict_of_report : report -> string
 
-(** {1 The streaming engine} *)
+(** {1 The streaming engine}
 
-val factory : Engine.factory
-(** The message-driven race engine registered as ["race"]: a causal
-    delivery buffer ({!Causal}) feeding sync-only clocks and the same
-    bounded summaries as {!detect}.  Verdicts equal
-    {!verdict_of_report} of the offline pass on the same execution, for
-    any arrival order the transport permits. *)
+    The race engine's own state: the same bounded summaries as {!detect}
+    and the verdict counters.  It has no delivery buffer and no clocks:
+    {!Engines} delivers the messages in causal order, advances the one
+    sync-only clock set they share, and calls {!observe} for each data
+    access.  Verdicts equal {!verdict_of_report} of the offline pass on
+    the same execution, for any arrival order the transport permits. *)
+
+type engine
+
+val create : nthreads:int -> engine
+
+val observe : engine -> access -> unit
+(** One data access, in causal delivery order. *)
+
+val violated : engine -> bool
+
+val engine_verdict : engine -> string
+(** {!verdict} of the accesses seen so far. *)
+
+val snapshot : engine -> string list
+(** The [race 2] checkpoint block. *)
+
+val restore : nthreads:int -> string list -> engine
+(** Rebuild from {!snapshot} output.
+    @raise Invalid_argument on a malformed or truncated block. *)

@@ -72,5 +72,3 @@ let observe t (e : Event.t) =
   | Event.Read _ | Event.Write _ ->
       tick t e.tid;
       Some t.vi.(e.tid)
-
-let clock t tid = t.vi.(tid)

@@ -18,8 +18,6 @@ val observe : t -> Event.t -> Vclock.t option
     clock at that point — for {e data} accesses (the points the analyses
     compare), [None] for internal events and synchronization traffic. *)
 
-val clock : t -> Types.tid -> Vclock.t
-
 val observe_access : t -> Types.tid -> var:Types.var -> is_read:bool -> Vclock.t option
 (** {!observe} for the message-driven engines: one delivered access,
     already split into its thread, {e demangled} variable (see

@@ -317,10 +317,6 @@ let feed_message t b m =
             Printf.sprintf
               "backpressure: %d messages buffered out of order (limit %d)"
               buffered limit ))
-  | exception Predict.Causal.Causal_buffer_overflow { buffered; limit } ->
-      (* The budget cap on the linear engines' delivery buffer: routed
-         through the overload policy, not the hard backpressure class. *)
-      Error (`Breach (Jmpax.Budget.Causal_buffered { buffered; limit }))
   | exception Invalid_argument _ ->
       (* A well-formed frame carrying a (thread, index) pair already
          consumed: an input defect, so the recovery policy applies. *)
@@ -390,7 +386,6 @@ let rec pump t reader =
       t.bundle <-
         Some
           (Predict.Engines.create ?max_buffered:t.cfg.max_buffered
-             ?overflow_limit:t.cfg.budget.Jmpax.Budget.max_causal_buffered
              ~kinds:t.cfg.engines ~nthreads:h.Wire.nthreads ~init:h.Wire.init
              ~spec:(Some t.cfg.spec) ());
       pump t reader
@@ -405,11 +400,6 @@ let rec pump t reader =
               | `Fail reason -> finish_failed t 8 ("budget: " ^ reason)
               | `Evict reason -> finish_evicted t reason)
           | Error (`Fatal (code, reason)) -> finish_failed t code reason
-          | Error (`Breach breach) -> (
-              match apply_breach t b breach with
-              | `Continue -> pump t reader
-              | `Fail reason -> finish_failed t 8 ("budget: " ^ reason)
-              | `Evict reason -> finish_evicted t reason)
           | Error (`Skip error) -> (
               match on_skip t error with
               | Ok () -> pump t reader
@@ -545,10 +535,9 @@ let start_fresh t ~id ~rest =
 let start_resume_checkpoint t ~id ~ck ~rest =
   let bundle =
     Predict.Engines.restore ?max_buffered:t.cfg.max_buffered
-      ?overflow_limit:t.cfg.budget.Jmpax.Budget.max_causal_buffered
       ?degraded:ck.Checkpoint.ck_degraded
       ~kinds:t.cfg.engines ~nthreads:ck.Checkpoint.ck_header.Wire.nthreads
-      ~init:ck.Checkpoint.ck_header.Wire.init ~spec:(Some t.cfg.spec)
+      ~spec:(Some t.cfg.spec)
       ~online_snapshot:ck.Checkpoint.ck_online
       ~blocks:ck.Checkpoint.ck_engines
       ~events:ck.Checkpoint.ck_reader_stats.Wire.Reader.messages ()

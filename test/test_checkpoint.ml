@@ -436,6 +436,38 @@ let test_resume_older_checkpoint () =
     (violation_keys whole.Jmpax.Stream.s_violations
     = violation_keys resumed.Jmpax.Stream.s_violations)
 
+(* A checkpoint written while race and atomicity each kept their own
+   delivery buffer and sync clocks ([race 1] and [atomicity 1] blocks,
+   no [delivery] block) must still resume to the engine lines of an
+   uninterrupted run.  The fixtures were made with that release's CLI:
+
+     jmpax run -e dekker-sketch --engine race -o dekker-race.trace
+     head -c 196 dekker-race.trace \
+       | jmpax stream - --engine race,atomicity \
+           --checkpoint dekker-race.ckpt --checkpoint-every 1
+
+   The prefix ends after the fourth of six message frames. *)
+let test_resume_older_engine_checkpoint () =
+  let spec = Pastltl.Formula.True in
+  let engines = [ Predict.Engine.Race; Predict.Engine.Atomicity ] in
+  let doc =
+    In_channel.with_open_bin "fixtures/dekker-race.trace" In_channel.input_all
+  in
+  let ck =
+    match C.read "fixtures/dekker-race.ckpt" with
+    | Ok ck -> ck
+    | Error e -> Alcotest.failf "read: %s" (C.error_to_string e)
+  in
+  Alcotest.(check (list string)) "the older blocks" [ "race"; "atomicity" ]
+    (List.map fst ck.C.ck_engines);
+  let run ?resume () =
+    match Jmpax.Stream.run_string ?resume ~engines ~spec doc with
+    | Ok o -> o.Jmpax.Stream.s_engines
+    | Error e -> Alcotest.failf "stream: %s" (E.to_string e)
+  in
+  Alcotest.(check (list (pair string string)))
+    "engine lines" (run ()) (run ~resume:ck ())
+
 (* {1 Transports} *)
 
 let string_raw doc =
@@ -601,7 +633,9 @@ let () =
         [ Alcotest.test_case "kill and resume" `Quick
             test_kill_resume_differential;
           Alcotest.test_case "resume an older checkpoint" `Quick
-            test_resume_older_checkpoint ] );
+            test_resume_older_checkpoint;
+          Alcotest.test_case "resume an older engine checkpoint" `Quick
+            test_resume_older_engine_checkpoint ] );
       ( "transport",
         [ Alcotest.test_case "EINTR retry" `Quick test_transport_eintr;
           Alcotest.test_case "fault-injection smoke" `Quick

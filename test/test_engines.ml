@@ -1,7 +1,7 @@
-(* The pluggable engine registry: streaming race/atomicity engines must
-   agree byte-for-byte with the offline passes on any causal reordering
-   of any execution, survive kill-and-resume at arbitrary points, and
-   refuse to resume under a different engine set. *)
+(* The engine bundle: the streaming race/atomicity engines must agree
+   byte-for-byte with the offline passes on any causal reordering of any
+   execution, survive kill-and-resume at arbitrary points, and refuse to
+   resume under a different engine set. *)
 
 module W = Jmpax.Wire
 module E = Jmpax.Wire.Error
@@ -17,7 +17,7 @@ let offline_verdicts exec =
     Predict.Atomicity.verdict_of_report (Predict.Atomicity.analyze exec) )
 
 (* Feed the execution's messages, arbitrarily reordered, through the
-   registry path: causal delivery must linearize them back into verdicts
+   bundle: causal delivery must linearize them back into verdicts
    identical to the in-order offline scan. *)
 let engine_verdicts ~reorder exec =
   let bundle =
@@ -279,6 +279,49 @@ let test_resume_engine_set_mismatch () =
       | Ok _ -> ()
       | Error e -> Alcotest.failf "matching set: %s" (E.to_string e))
 
+(* An evicted stream's checkpoint holds one delivery front for both
+   linear engines.  The racy counter's first message, moved to the end
+   of the stream, holds every later message of its thread back; the
+   third one breaches the causal budget, and the evict checkpoint must
+   resume, with no budget, to the whole run's verdict lines. *)
+let test_evict_checkpoint_resumes () =
+  let exec =
+    exec_of_program ~seed:3 (Tml.Programs.racy_counter ~increments:3)
+  in
+  let header =
+    { W.nthreads = Trace.Exec.nthreads exec; init = Trace.Exec.init exec }
+  in
+  let doc =
+    match PE.messages_of_exec exec with
+    | first :: rest -> W.Framed.encode header (rest @ [ first ])
+    | [] -> Alcotest.fail "no messages"
+  in
+  let engines = [ PE.Race; PE.Atomicity ] and spec = Pastltl.Formula.True in
+  in_temp_file (fun path ->
+      (match
+         Jmpax.Stream.run_string ~checkpoint:(path, 1) ~engines ~spec
+           ~budget:(Jmpax.Budget.limits ~max_causal_buffered:2 ())
+           ~on_overload:Jmpax.Budget.Evict doc
+       with
+      | exception Jmpax.Budget.Exceeded (Jmpax.Budget.Causal_buffered _) -> ()
+      | exception Jmpax.Budget.Exceeded b ->
+          Alcotest.failf "wrong breach: %s" (Jmpax.Budget.breach_message b)
+      | Ok _ -> Alcotest.fail "the causal budget was not enforced"
+      | Error e -> Alcotest.failf "evicted run: %s" (E.to_string e));
+      let ck =
+        match C.read path with
+        | Ok ck -> ck
+        | Error e -> Alcotest.failf "read: %s" (C.error_to_string e)
+      in
+      match Jmpax.Stream.run_string ~resume:ck ~engines ~spec doc with
+      | Error e -> Alcotest.failf "resume: %s" (E.to_string e)
+      | Ok o ->
+          Alcotest.(check (list (pair string string)))
+            "the whole run's verdict lines"
+            [ ("race", "predict.race: RACES PREDICTED on {counter} (12 accesses)");
+              ("atomicity", "predict.atomicity: all 0 sync blocks serializable") ]
+            o.Jmpax.Stream.s_engines)
+
 (* {1 Front-end parity: check == stream, engine line for engine line} *)
 
 let test_pipeline_stream_parity () =
@@ -308,7 +351,7 @@ let test_pipeline_stream_parity () =
       Alcotest.(check bool) "violated agrees" o.Jmpax.Stream.s_violated
         output.Jmpax.Pipeline.engines_violated
 
-(* {1 Registry hygiene} *)
+(* {1 Engine selection} *)
 
 let test_kind_parsing () =
   (match PE.kinds_of_string "race,atomicity,race" with
@@ -327,14 +370,6 @@ let test_kind_parsing () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "empty selection accepted"
 
-let test_registered_engines () =
-  (* Referencing the bundle module links the registrations. *)
-  let names = PE.names () in
-  List.iter
-    (fun n ->
-      Alcotest.(check bool) (n ^ " registered") true (List.mem n names))
-    [ "race"; "atomicity" ]
-
 let () =
   Alcotest.run "engines"
     [ ( "differential",
@@ -347,11 +382,11 @@ let () =
         [ Alcotest.test_case "parity per engine set" `Quick
             test_kill_resume_per_engine;
           Alcotest.test_case "engine-set mismatch refused" `Quick
-            test_resume_engine_set_mismatch ] );
+            test_resume_engine_set_mismatch;
+          Alcotest.test_case "evict checkpoint resumes" `Quick
+            test_evict_checkpoint_resumes ] );
       ( "parity",
         [ Alcotest.test_case "check == stream verdict lines" `Quick
             test_pipeline_stream_parity ] );
       ( "registry",
-        [ Alcotest.test_case "kind parsing" `Quick test_kind_parsing;
-          Alcotest.test_case "race/atomicity registered" `Quick
-            test_registered_engines ] ) ]
+        [ Alcotest.test_case "kind parsing" `Quick test_kind_parsing ] ) ]
